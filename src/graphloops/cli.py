@@ -1,18 +1,22 @@
 """Command-line surface: reports over all modules.
 
-Exit status: 0 success, 1 failed numeric check, 2 usage error (argparse).
+Exit status: 0 success, 1 failed numeric check, 2 usage error (argparse,
+or an input the model cannot take: a bad value, a missing file, a size past
+a memory cap).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 import numpy as np
 
-from .graphs import EVEN, ODD, builtin_graph, load_graph, perron_frobenius
+from .graphs import (EVEN, ODD, GraphError, builtin_graph, load_graph,
+                     perron_frobenius)
 from .elements import LoopAlgebra, loop_from_tokens, loop_tokens
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .ncpairings import free_poisson_moments
@@ -25,11 +29,18 @@ from .traces import free_structure_report, trace_k
 
 
 def _load_alg(name_or_path: str, tol: float) -> LoopAlgebra:
+    """A builtin graph by name, else a JSON graph given inline or as a file.
+
+    Text that is neither a builtin name, inline JSON nor an existing file
+    reports `builtin_graph`'s error for the name.
+    """
     try:
         g = builtin_graph(name_or_path)
-    except Exception:
+    except GraphError:
         text = name_or_path
         if not text.lstrip().startswith("{"):
+            if not os.path.isfile(text):
+                raise
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         doc = json.loads(text)
@@ -187,8 +198,10 @@ def cmd_fock(args) -> int:
                    row["norm_sq"], row["expected"])
     report.add("commutator_interior_fro", diag["commutator_interior_fro"])
     report.add("cup_minus_nested_fro", diag["cup_minus_nested_fro"])
-    failed = rep["max_deviation"] > args.tol or any(
-        r["abs_err"] > args.tol for r in diag["xi"])
+    report.add("pk_commutation_max", diag["pk_commutation_max"], 0.0)
+    failed = (rep["max_deviation"] > args.tol
+              or diag["pk_commutation_max"] > args.tol
+              or any(r["abs_err"] > args.tol for r in diag["xi"]))
     return _finish(report, args, started, failed)
 
 
@@ -282,9 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="grade-k trace of an element or loop")
     common(p)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--loop", default=None, help="loop tokens, e.g. \"e1 e1'\"")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--loop", default=None,
+                      help="loop tokens, e.g. \"e1 e1'\"")
+    what.add_argument("--element", default=None, help="element JSON file")
     p.add_argument("--vertex", default=None, help="base vertex for level-0")
-    p.add_argument("--element", default=None, help="element JSON file")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("tangle", help="evaluate a .tgl program")
@@ -331,7 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

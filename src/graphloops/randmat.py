@@ -32,6 +32,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from ._normals import normals
 from .elements import Loop, LoopAlgebra
@@ -52,11 +53,6 @@ class BlockModelSpec:
         if not self.M_v:
             mv = tuple(max(1, round(self.M * m)) for m in self.alg.pf.mu)
             object.__setattr__(self, "M_v", mv)
-        total = sum((self.N * self.M_v[self.alg.g.src(e)]) *
-                    (self.N * self.M_v[self.alg.g.tgt(e)])
-                    for e in self.alg.g.positive_edges())
-        if total > MEMORY_CAP_ENTRIES:
-            raise MemoryError("block model exceeds the memory cap")
 
     def block_dim(self, v: int) -> int:
         return self.N * self.M_v[v]
@@ -76,19 +72,27 @@ class SampledModel:
     Blocks are complex64 (probe accuracy is far below the statistical
     error).  Entry streams are counter-based: block entries of sample i live
     at counter offset i * (total entries), so any sample is reproducible in
-    isolation and resampling is independent of thread scheduling.  A
-    reusable workspace dict avoids repeated large allocations across
-    samples; blocks alias its buffers, so at most one model per workspace
-    may be alive at a time.
+    isolation and resampling is independent of thread scheduling.  Each
+    `loop_trace` call draws its probes from default_rng([seed ^ 0x5DEECE66D,
+    sample index, N, M, base, length, *edges]), so a loop's value does not
+    depend on the loops evaluated before it.  A reusable workspace dict
+    avoids repeated large allocations across samples; blocks alias its
+    buffers, so at most one model per workspace may be alive at a time.
+    A spec past MEMORY_CAP_ENTRIES block entries raises MemoryError before
+    anything is drawn.
     """
 
     def __init__(self, spec: BlockModelSpec, sample_index: int = 0,
                  workspace: dict | None = None):
         self.spec = spec
+        self.sample_index = sample_index
         g = spec.alg.g
         self.blocks: dict[int, np.ndarray] = {}
-        stride = 2 * sum(spec.block_dim(g.src(e)) * spec.block_dim(g.tgt(e))
-                         for e in g.positive_edges())
+        entries = sum(spec.block_dim(g.src(e)) * spec.block_dim(g.tgt(e))
+                      for e in g.positive_edges())
+        if entries > MEMORY_CAP_ENTRIES:
+            raise MemoryError("dense block model exceeds the memory cap")
+        stride = 2 * entries
         counter = np.uint64(sample_index) * np.uint64(stride)
         for e in g.positive_edges():
             rows = spec.block_dim(g.src(e))
@@ -105,9 +109,7 @@ class SampledModel:
             block = buf.view(np.complex64).reshape(rows, cols)
             block *= np.float32(sd)
             self.blocks[e] = block
-        # probe stream lives far above any block stream
-        self._probe_seed = spec.seed ^ 0x5DEECE66D
-        self._probe_counter = np.uint64(sample_index) * np.uint64(1 << 20)
+        self.rng: np.random.Generator | None = None
 
     def apply_block(self, e: int, w: np.ndarray) -> np.ndarray:
         """X_e @ w without materializing adjoint copies."""
@@ -122,11 +124,8 @@ class SampledModel:
         return float(np.einsum("ij,ij->", flat, flat, dtype=np.float64))
 
     def probe_matrix(self, dim: int, probes: int) -> np.ndarray:
-        """Complex Rademacher probes drawn from the sample's own stream."""
-        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-            entropy=self._probe_seed, spawn_key=(int(self._probe_counter),))))
-        self._probe_counter += np.uint64(1)
-        z = rng.integers(0, 4, size=(dim, probes))
+        """Complex Rademacher probes from the current loop's stream."""
+        z = self.rng.integers(0, 4, size=(dim, probes))
         return np.exp(0.5j * np.pi * z).astype(np.complex64)
 
     def loop_trace(self, lp: Loop, probes: int = 8) -> float:
@@ -138,6 +137,10 @@ class SampledModel:
         sizes would need tens of teraflops).  Probe noise is part of the
         reported sampling error.
         """
+        spec = self.spec
+        self.rng = default_rng(
+            [spec.seed ^ 0x5DEECE66D, self.sample_index, spec.N, spec.M,
+             lp.base, len(lp.edges), *lp.edges])
         return _loop_trace(self, lp, probes)
 
 
@@ -249,7 +252,7 @@ class MatrixFreeModel:
     def loop_trace(self, lp: Loop, probes: int = 8) -> float:
         """tr(d_v X_w) for this sample, normalized by 1/(N M)."""
         spec, g = self.spec, self.spec.alg.g
-        self.rng = np.random.default_rng(
+        self.rng = default_rng(
             [spec.seed, self.sample_index, spec.N, spec.M, lp.base,
              len(lp.edges), *lp.edges])
         self.blocks = {e: _LazyBlock(spec.block_dim(g.src(e)),

@@ -80,6 +80,10 @@ def test_fock_subcommand(capsys):
     code, out = run_cli(capsys, "fock", "--graph", "a2", "--max-len", "4",
                         "--depth", "6")
     assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    pk = rows["pk_commutation_max"]
+    assert pk["expected"] == "0"
+    assert float(pk["value"]) <= 1e-9
 
 
 def test_mc_subcommand(capsys):
@@ -97,11 +101,57 @@ def test_freedim_subcommand(capsys):
     assert code == 0
 
 
+def _cli_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "graphloops.cli", *argv],
+                          capture_output=True, text=True)
+
+
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphloops.cli", "nonsense"],
-        capture_output=True)
+    proc = _cli_subprocess("nonsense")
     assert proc.returncode == 2
+
+
+def test_trace_without_loop_or_element_is_usage_error():
+    proc = _cli_subprocess("trace", "--graph", "a3")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_unknown_graph_name_is_usage_error():
+    proc = _cli_subprocess("graph", "--graph", "zz9")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unknown builtin graph 'zz9'" in proc.stderr
+
+
+def test_mc_large_blocks_run_matrix_free():
+    # 400 x 400 is past the dense memory cap; the matrix-free engine holds
+    # only thin bases there
+    proc = _cli_subprocess("mc", "--graph", "a3", "--loop", "e1 e1'",
+                           "--N", "400", "--M", "400")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["parameters"]["engine"] == "matrix-free"
+
+
+def test_mc_dense_past_memory_cap_is_usage_error():
+    # 500 probes send this batch to the dense engine, whose blocks at
+    # N = M = 120 exceed the cap; the cap fires before any block is drawn
+    proc = _cli_subprocess("mc", "--graph", "a3", "--loop", "e1 e1' e2 e2'",
+                           "--N", "120", "--M", "120", "--probes", "500",
+                           "--samples", "2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "memory cap" in proc.stderr
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    code = ("import sys, graphloops, graphloops.cli; "
+            "print('scipy.sparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_report_determinism():

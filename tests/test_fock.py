@@ -69,6 +69,24 @@ def test_vacuum_trace_oracle(test_algebras):
         assert report["max_deviation"] <= 1e-12
 
 
+def test_vector_chain_matches_word_operator(a3, s4):
+    # the oracle reads <v, c(w) v> from c(w) applied to the vacuum vector;
+    # it must equal the entry of the operator product c_word(w)
+    for alg in (a3, s4):
+        space = FockSpace(alg, 8)
+        for level in range(5):
+            for shading in (EVEN, ODD):
+                for lp in alg.basis(level, shading):
+                    i = space.basis.vacuum_index(lp.base)
+                    vacuum = np.zeros(len(space.basis))
+                    vacuum[i] = 1.0
+                    chain = space.apply_word(lp.edges, vacuum)[i]
+                    word = space.vacuum_expectation(
+                        space.c_word(lp.edges), lp.base, len(lp.edges))
+                    assert abs(chain - word) <= 1e-12 * max(abs(chain),
+                                                            abs(word)), lp
+
+
 def test_vacuum_trace_oracle_fault_injection(a3):
     # corrupt the pairing-side weights only: the oracle must catch it
     bad = lambda e: 1.25 * a3.pf.sigma(e)
