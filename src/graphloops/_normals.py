@@ -1,11 +1,8 @@
 """Deterministic float32 Gaussian sampling for the dense block engine.
 
-Counter-based: value i of stream s is a pure function of (s, i), via a
-splitmix64 mix of the counter feeding a 128-layer ziggurat.  This makes
-dense samples reproducible and independent of scheduling; a numba jit
-generates several times faster than the stock single-threaded generator.
-Falls back to numpy's generator (same interface, different stream) when
-numba is unavailable.  Only `randmat.SampledModel` draws from here; the
+Counter-based: block `counter` of stream `seed` comes from its own SFC64
+generator keyed on (seed, counter), so dense samples are reproducible and
+independent of scheduling.  Only `randmat.SampledModel` draws from here; the
 matrix-free engine, which the acceptance sweep uses, draws its few values
 from numpy's default generator.
 """
@@ -14,137 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# -- ziggurat tables (Marsaglia-Tsang, 128 layers) ---------------------------
 
-_M1 = 2147483648.0
-_DN = 3.442619855899
-_VN = 9.91256303526217e-3
+def normals(seed: int, counter: int, n: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """n float32 standard normals, a pure function of (seed, counter, n).
 
-
-def _build_tables():
-    kn = np.zeros(128, dtype=np.uint32)
-    wn = np.zeros(128, dtype=np.float64)
-    fn = np.zeros(128, dtype=np.float64)
-    dn, tn = _DN, _DN
-    q = _VN / np.exp(-0.5 * dn * dn)
-    kn[0] = np.uint32(int((dn / q) * _M1))
-    kn[1] = 0
-    wn[0] = q / _M1
-    wn[127] = dn / _M1
-    fn[0] = 1.0
-    fn[127] = np.exp(-0.5 * dn * dn)
-    for i in range(126, 0, -1):
-        dn = np.sqrt(-2.0 * np.log(_VN / dn + np.exp(-0.5 * dn * dn)))
-        kn[i + 1] = np.uint32(int((dn / tn) * _M1))
-        tn = dn
-        fn[i] = np.exp(-0.5 * dn * dn)
-        wn[i] = dn / _M1
-    return kn, wn, fn
-
-
-_KN, _WN, _FN = _build_tables()
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U53 = 1.1102230246251565e-16          # 2^-53
-_R = 3.442619855899
-
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def _slow_value(z, hz, idx, kn, wn, fn):
-        """Ziggurat rejection path for one draw (~2% of draws)."""
-        GOLD = np.uint64(0x9E3779B97F4A7C15)
-        MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-        MIX2 = np.uint64(0x94D049BB133111EB)
-        U53 = 1.1102230246251565e-16
-        R = 3.442619855899
-        w = z
-        while True:
-            if idx == 0:                 # tail beyond the base layer
-                while True:
-                    w = (w ^ (w >> np.uint64(30))) * MIX1 + GOLD
-                    u1 = np.float64((w >> np.uint64(11)) + np.uint64(1)) * U53
-                    w = (w ^ (w >> np.uint64(27))) * MIX2 + GOLD
-                    u2 = np.float64((w >> np.uint64(11)) + np.uint64(1)) * U53
-                    x = -np.log(u1) / R
-                    y = -np.log(u2)
-                    if y + y >= x * x:
-                        return R + x if hz >= 0 else -(R + x)
-            x = hz * wn[idx]
-            w = (w ^ (w >> np.uint64(30))) * MIX1 + GOLD
-            u = np.float64((w >> np.uint64(11)) + np.uint64(1)) * U53
-            if fn[idx] + u * (fn[idx - 1] - fn[idx]) < np.exp(-0.5 * x * x):
-                return x
-            w = (w ^ (w >> np.uint64(27))) * MIX2 + GOLD
-            hz = np.int32(np.uint32(w & np.uint64(0xFFFFFFFF)))
-            idx = np.uint64(np.uint32(hz) & np.uint32(127))
-            ahz = np.uint32(hz if hz >= 0 else -hz)
-            if ahz < kn[idx]:
-                return hz * wn[idx]
-
-    @numba.njit(cache=True)
-    def _fill_hot(seed, counter0, out, kn, wn):
-        """Accept-or-NaN pass; the rejection branch never produces NaN."""
-        GOLD = np.uint64(0x9E3779B97F4A7C15)
-        MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-        MIX2 = np.uint64(0x94D049BB133111EB)
-        n = out.shape[0]
-        for i in range(n):
-            z = (counter0 + np.uint64(i) + np.uint64(1)) * GOLD + seed
-            z = (z ^ (z >> np.uint64(30))) * MIX1
-            z = (z ^ (z >> np.uint64(27))) * MIX2
-            z = z ^ (z >> np.uint64(31))
-            hz = np.int32(np.uint32(z & np.uint64(0xFFFFFFFF)))
-            idx = np.uint64(np.uint32(hz) & np.uint32(127))
-            ahz = np.uint32(hz if hz >= 0 else -hz)
-            if ahz < kn[idx]:
-                out[i] = np.float32(hz * wn[idx])
-            else:
-                out[i] = np.float32(np.nan)
-
-    @numba.njit(cache=True)
-    def _fill_cold(seed, counter0, indices, out, kn, wn, fn):
-        GOLD = np.uint64(0x9E3779B97F4A7C15)
-        MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-        MIX2 = np.uint64(0x94D049BB133111EB)
-        for j in range(indices.shape[0]):
-            i = indices[j]
-            z = (counter0 + np.uint64(i) + np.uint64(1)) * GOLD + seed
-            z = (z ^ (z >> np.uint64(30))) * MIX1
-            z = (z ^ (z >> np.uint64(27))) * MIX2
-            z = z ^ (z >> np.uint64(31))
-            hz = np.int32(np.uint32(z & np.uint64(0xFFFFFFFF)))
-            idx = np.uint64(np.uint32(hz) & np.uint32(127))
-            out[i] = np.float32(_slow_value(z, hz, idx, kn, wn, fn))
-
-    def normals(seed: int, counter: int, n: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """n float32 standard normals; entry i depends only on (seed, counter+i).
-
-        Passing a reusable `out` buffer avoids page-fault overhead in tight
-        sampling loops.
-        """
-        if out is None:
-            out = np.empty(n, dtype=np.float32)
-        _fill_hot(np.uint64(seed), np.uint64(counter), out, _KN, _WN)
-        rejects = np.nonzero(np.isnan(out))[0]
-        if rejects.size:
-            _fill_cold(np.uint64(seed), np.uint64(counter), rejects, out,
-                       _KN, _WN, _FN)
-        return out
-
-    HAVE_FAST_NORMALS = True
-except ImportError:                                   # pragma: no cover
-    def normals(seed: int, counter: int, n: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-        rng = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(counter,))))
-        if out is None:
-            return rng.standard_normal(n, dtype=np.float32)
-        rng.standard_normal(out=out, dtype=np.float32)
-        return out
-
-    HAVE_FAST_NORMALS = False
+    Passing a reusable `out` buffer avoids page-fault overhead in tight
+    sampling loops.
+    """
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(counter,))))
+    if out is None:
+        return rng.standard_normal(n, dtype=np.float32)
+    rng.standard_normal(out=out, dtype=np.float32)
+    return out

@@ -52,6 +52,20 @@ def _load_alg(name_or_path: str, tol: float) -> LoopAlgebra:
     return LoopAlgebra(g, perron_frobenius(g, min(tol, 1e-12)))
 
 
+def _int_at_least(low: int):
+    """argparse type for size and count flags: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
+POSITIVE, NON_NEGATIVE = _int_at_least(1), _int_at_least(0)
+
+
 def _finish(report: RunReport, args, started: float, failed: bool) -> int:
     report.wall_time_s = time.perf_counter() - started
     payload = emit_report(report, args.format)
@@ -209,6 +223,9 @@ def cmd_mc(args) -> int:
     started = time.perf_counter()
     alg = _load_alg(args.graph, args.tol)
     lp = loop_from_tokens(alg.g, args.loop, args.vertex)
+    if args.grid and min(args.N, args.M) < 4:
+        raise ValueError("--grid sweeps down to (N/4, M/4): it needs "
+                         "--N and --M of at least 4")
     spec = BlockModelSpec(alg, args.N, args.M, args.seed)
     report = RunReport("mc", graph_digest(alg.g),
                        {"graph": args.graph, "loop": args.loop,
@@ -279,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=POSITIVE, default=1)
         p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("graph", help="delta, mu and sigma tables")
@@ -288,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="four-way one-cup moment table")
     common(p)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--fock-n", type=int, default=6)
+    p.add_argument("--n", type=NON_NEGATIVE, default=8)
+    p.add_argument("--fock-n", type=NON_NEGATIVE, default=6)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("trace", help="grade-k trace of an element or loop")
     common(p)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=NON_NEGATIVE, default=0)
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--loop", default=None,
                       help="loop tokens, e.g. \"e1 e1'\"")
@@ -310,30 +327,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tower", help="tower map diagnostics at grade k")
     common(p)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_at_least(2), default=2)
     p.set_defaults(fn=cmd_tower)
 
     p = sub.add_parser("fock", help="operator-model oracle reports")
     common(p)
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--max-len", type=NON_NEGATIVE, default=6)
+    p.add_argument("--depth", type=NON_NEGATIVE, default=8)
     p.set_defaults(fn=cmd_fock)
 
     p = sub.add_parser("mc", help="random block-matrix trace estimate")
     common(p)
     p.add_argument("--loop", required=True)
     p.add_argument("--vertex", default=None)
-    p.add_argument("--N", type=int, default=40)
-    p.add_argument("--M", type=int, default=40)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--probes", type=int, default=8)
+    p.add_argument("--N", type=POSITIVE, default=40)
+    p.add_argument("--M", type=POSITIVE, default=40)
+    p.add_argument("--samples", type=POSITIVE, default=200)
+    p.add_argument("--probes", type=POSITIVE, default=8)
     p.add_argument("--grid", action="store_true",
                    help="sweep (N/4,M/4) -> (N/2,M/2) -> (N,M)")
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("freedim", help="free-structure dimension table")
     common(p)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=POSITIVE, default=4)
     p.set_defaults(fn=cmd_freedim)
 
     p = sub.add_parser("selftest", help="run the cross-module invariant suite")

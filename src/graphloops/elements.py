@@ -10,15 +10,23 @@ operator model in tests):
   the ladder frame and the rest is the middle word.  The planar-coordinate
   loop is the same sequence with the basepoint shifted forward by t edges;
   `shift_base` converts.
+* Every product, trace and tower map is built from two moves on a loop,
+  each coded once on `LoopAlgebra`:
+  - `frame_weight(edges, k, power)` closes a frame of k strings: it is 0
+    unless the last k edges mirror the first k, else prod_j sigma(e_j)^power
+    over the first k edges (the sigma powers are tabled in the README);
+  - `_turn(x, steps, curved)` moves every basepoint forward by `steps`
+    edges, with weight mu(old base)/mu(new base) when curved.
 * wedge(t, a, b) is nonzero on a loop pair iff the last t edges of a, read
-  backwards with orientations flipped, equal the first t edges of b.  Each
-  matched edge b_j contributes sqrt(mu(s(b_j))/mu(t(b_j))) = 1/sigma(b_j),
-  which is the squared Fock length of b_j.  At t = 0 the loops must share
-  their base vertex and the product is concatenation.
-* The dagger involution reverses the stored sequence and flips every
-  orientation (the same rule at every grade in these coordinates).
-* One-degree rotation sends u_1 u_2 ... u_{2m} to u_3 ... u_{2m} u_1 u_2
-  with curvature factor mu(base)/mu(t(u_2)).
+  backwards with orientations flipped (`mirror`), equal the first t edges
+  of b.  Each matched edge b_j contributes 1/sigma(b_j), the squared Fock
+  length of b_j.  At t = 0 the loops must share their base vertex and the
+  product is concatenation.
+* The dagger involution mirrors the stored sequence (the same rule at
+  every grade in these coordinates).
+* One-degree rotation is the curved turn by two edges: it sends
+  u_1 u_2 ... u_{2m} to u_3 ... u_{2m} u_1 u_2 with factor
+  mu(base)/mu(t(u_2)).
 """
 
 from __future__ import annotations
@@ -80,9 +88,6 @@ class Element:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm_inf() <= tol
-
-    def support_size(self) -> int:
-        return len(self.terms)
 
 
 def _prune(terms: dict[Loop, float]) -> dict[Loop, float]:
@@ -184,33 +189,68 @@ class LoopAlgebra:
         if at != lp.base:
             raise ValueError("loop does not close")
 
+    # -- the two loop moves ---------------------------------------------------
+
+    def mirror(self, edges: tuple[int, ...]) -> tuple[int, ...]:
+        """The edge sequence read backwards with every orientation flipped."""
+        opp = self.g.opp
+        return tuple(opp(e) for e in reversed(edges))
+
+    def frame_weight(self, edges: tuple[int, ...], k: int, power: int) -> float:
+        """Close a frame of k strings: 0 unless the last k edges mirror the
+        first k, else the product of sigma(e)^power over the first k edges."""
+        opp, sigma = self.g.opp, self.pf.sigma
+        w = 1.0
+        for j in range(k):
+            if edges[-1 - j] != opp(edges[j]):
+                return 0.0
+            w *= sigma(edges[j]) ** power
+        return w
+
+    def _turn(self, x: Element, steps: int, curved: bool) -> Element:
+        """Move every basepoint forward by `steps` edges, with weight
+        mu(old base)/mu(new base) when `curved`; odd steps flip the shading."""
+        if x.level == 0:
+            if steps != 0:
+                raise ValueError("cannot turn the basepoint of a level-0 element")
+            return x
+        s = steps % (2 * x.level)
+        g, mu = self.g, self.pf.mu
+        out: dict[Loop, float] = {}
+        for lp, c in x.terms.items():
+            edges = lp.edges[s:] + lp.edges[:s]
+            key = Loop(g.src(edges[0]), edges)
+            w = c * (mu[lp.base] / mu[key.base]) if curved else c
+            out[key] = out.get(key, 0.0) + w
+        shading = x.shading if s % 2 == 0 else -x.shading
+        return Element(x.level, shading, _prune(out))
+
     # -- graded product ---------------------------------------------------
 
     def wedge(self, t: int, a: Element, b: Element) -> Element:
         """Graded product merging the last t edges of a with the first t of b."""
+        if t < 0:
+            raise ValueError("wedge grade must be >= 0")
         if a.level < t or b.level < t:
             raise ValueError(f"wedge_{t} needs operands of level >= {t}")
         if a.shading != b.shading:
             raise ValueError("shading mismatch in wedge")
+        # b's loops keyed by what a's tail must meet: the base and the first
+        # t edges (at t = 0 the base alone); each group keeps b's order
+        heads: dict = {}
+        for lb, cb in b.terms.items():
+            heads.setdefault((lb.base, lb.edges[:t]), []).append((lb.edges[t:], cb))
         out: dict[Loop, float] = {}
-        g, pf = self.g, self.pf
         for la, ca in a.terms.items():
-            for lb, cb in b.terms.items():
-                if t == 0:
-                    if la.base != lb.base:
-                        continue
-                    w = 1.0
-                else:
-                    w = 1.0
-                    for j in range(t):
-                        if lb.edges[j] != g.opp(la.edges[-1 - j]):
-                            w = 0.0
-                            break
-                        w *= pf.norm_sq(lb.edges[j])
-                    if w == 0.0:
-                        continue
-                edges = la.edges[: len(la.edges) - t] + lb.edges[t:]
-                key = Loop(la.base, edges)
+            stem = la.edges[: len(la.edges) - t]
+            tail = la.edges[len(stem):]
+            head = self.mirror(tail) if t else ()
+            group = heads.get((la.base, head))
+            if group is None:
+                continue
+            w = self.frame_weight(head + tail, t, -1) if t else 1.0
+            for rest, cb in group:
+                key = Loop(la.base, stem + rest)
                 out[key] = out.get(key, 0.0) + ca * cb * w
         return Element(a.level + b.level - t, a.shading, _prune(out))
 
@@ -226,33 +266,18 @@ class LoopAlgebra:
         return self.wedge(a.level, a, b)
 
     def involution(self, a: Element, t: int = 0) -> Element:
-        """Dagger: reverse each loop and flip orientations, conjugate coefficients."""
+        """Dagger: mirror each loop, conjugate coefficients."""
         if a.level < t:
             raise ValueError("level below grade")
-        g = self.g
         out = {}
         for lp, c in a.terms.items():
-            rev = tuple(g.opp(e) for e in reversed(lp.edges))
-            out[Loop(lp.base, rev)] = out.get(Loop(lp.base, rev), 0.0) + _conj(c)
+            key = Loop(lp.base, self.mirror(lp.edges))
+            out[key] = out.get(key, 0.0) + _conj(c)
         return Element(a.level, a.shading, _prune(out))
-
-    def reverse_loop(self, lp: Loop) -> Loop:
-        g = self.g
-        return Loop(lp.base, tuple(g.opp(e) for e in reversed(lp.edges)))
 
     def rotate(self, a: Element, times: int = 1) -> Element:
         """Counterclockwise one-degree rotation (basepoint forward by 2)."""
-        if a.level < 1:
-            raise ValueError("cannot rotate a level-0 element")
-        x = a
-        for _ in range(times):
-            out: dict[Loop, float] = {}
-            for lp, c in x.terms.items():
-                f = self.pf.mu[lp.base] / self.pf.mu[self.g.tgt(lp.edges[1])]
-                key = Loop(self.g.tgt(lp.edges[1]), lp.edges[2:] + lp.edges[:2])
-                out[key] = out.get(key, 0.0) + c * f
-            x = Element(a.level, a.shading, _prune(out))
-        return x
+        return self._turn(a, 2 * times, curved=True)
 
     def shift_base(self, a: Element, steps: int) -> Element:
         """Move every basepoint forward by `steps` edges, no weight.
@@ -261,20 +286,7 @@ class LoopAlgebra:
         views of one underlying planar element (positive steps lower the
         grade view by `steps`).
         """
-        if a.level == 0:
-            if steps != 0:
-                raise ValueError("cannot shift a level-0 element")
-            return a
-        n = 2 * a.level
-        s = steps % n
-        out: dict[Loop, float] = {}
-        for lp, c in a.terms.items():
-            edges = lp.edges[s:] + lp.edges[:s]
-            key = Loop(self.g.src(edges[0]), edges)
-            out[key] = out.get(key, 0.0) + c
-        some = next(iter(out), None)
-        shading = self.g.parity[some.base] if some else a.shading * (-1) ** (s % 2)
-        return Element(a.level, shading, _prune(out))
+        return self._turn(a, steps, curved=False)
 
     # -- tower maps ---------------------------------------------------------
 
@@ -296,43 +308,28 @@ class LoopAlgebra:
         """Conditional expectation peeling the outermost frame layer.
 
         e w f-opposite maps to 0 unless e = f, else to
-        delta^-1 (mu(s(e))/mu(t(e)))^{3/2} w.  The 3/2 exponent is the one
-        consistent with expect_step(include_step(x)) = x and with the
-        operator-model trace; see the test-suite.
+        delta^-1 sigma(e)^-3 w = delta^-1 (mu(s(e))/mu(t(e)))^{3/2} w.  The
+        3/2 exponent is the one consistent with expect_step(include_step(x))
+        = x and with the operator-model trace; see the test-suite.
         """
         if a.level < 1:
             raise ValueError("expect_step needs level >= 1")
-        g, pf = self.g, self.pf
+        g, delta = self.g, self.pf.delta
         out: dict[Loop, float] = {}
         for lp, c in a.terms.items():
-            e, last = lp.edges[0], lp.edges[-1]
-            if last != g.opp(e):
+            w = self.frame_weight(lp.edges, 1, -3)
+            if w == 0.0:
                 continue
-            w = (pf.mu[g.src(e)] / pf.mu[g.tgt(e)]) ** 1.5 / pf.delta
-            key = Loop(g.tgt(e), lp.edges[1:-1])
-            out[key] = out.get(key, 0.0) + c * w
+            key = Loop(g.tgt(lp.edges[0]), lp.edges[1:-1])
+            out[key] = out.get(key, 0.0) + c * (w / delta)
         return Element(a.level - 1, -a.shading, _prune(out))
 
     def unit(self, k: int, shading: int) -> Element:
-        """Unit of the grade-k algebra at level k: sum over length-k paths p of
-        prod sigma(p_i) times the loop p followed by p reversed-opposite."""
-        g, pf = self.g, self.pf
-        out: dict[Loop, float] = {}
-
-        def walk(at, edges, weight):
-            if len(edges) == k:
-                back = tuple(g.opp(e) for e in reversed(edges))
-                out[Loop(g.src(edges[0]) if edges else at, edges + back)] = weight
-                return
-            for e in g.edges_from(at):
-                walk(g.tgt(e), edges + (e,), weight * pf.sigma(e))
-
-        for v in self.g.vertices_of_parity(shading):
-            if k == 0:
-                out[Loop(v, ())] = 1.0
-            else:
-                walk(v, (), 1.0)
-        return Element(k, shading, _prune(out))
+        """Unit of the grade-k algebra at level k: the identity diagram, i.e.
+        the sum over length-k paths p of prod sigma(p_i) times the loop p
+        followed by its mirror."""
+        return self.tl_element(tuple((j, 2 * k + 1 - j) for j in range(1, k + 1)),
+                               shading)
 
     # -- Temperley-Lieb elements ---------------------------------------------
 
@@ -341,7 +338,7 @@ class LoopAlgebra:
 
         For pairing pi of {1..2k}: sum over loops whose paired positions carry
         an edge and its opposite, weighted by sigma of the earlier edge of
-        each pair.
+        each pair.  The empty diagram is the level-0 unit, sum_v Loop(v, ()).
         """
         pairs = [tuple(sorted(p)) for p in pairing]
         two_k = 2 * len(pairs)
@@ -359,9 +356,9 @@ class LoopAlgebra:
         out: dict[Loop, float] = {}
 
         def walk(pos, at, stack, edges, weight):
-            if pos > two_k:
-                out[Loop(g.src(edges[0]), tuple(edges))] = \
-                    out.get(Loop(g.src(edges[0]), tuple(edges)), 0.0) + weight
+            if pos > two_k:                           # closed: back at the base
+                key = Loop(at, tuple(edges))
+                out[key] = out.get(key, 0.0) + weight
                 return
             if partner[pos] > pos:                    # opener: free edge
                 for e in g.edges_from(at):
@@ -416,41 +413,15 @@ class LoopAlgebra:
     def to_grade(self, x: Element) -> Element:
         """Carry a level-k planar element to its grade-k tower coordinates.
 
-        Per basis loop: weight mu(base)/mu(midpoint vertex) and move the
-        basepoint back by k edges.  This is the unique *-compatible
-        identification of the level-k usual algebra with the grade-k slice:
-        it sends the usual unit to the wedge unit and reverses the product
-        order (wedge(to_grade a, to_grade b) = to_grade(b a)).
+        The curved half turn: per basis loop, move the basepoint k edges
+        with weight mu(base)/mu(midpoint vertex).  On a 2k-edge loop this is
+        its own inverse, and for even k it equals `rotate(x, k // 2)`.  It
+        is the unique *-compatible identification of the level-k usual
+        algebra with the grade-k slice: it sends the usual unit to the wedge
+        unit and reverses the product order
+        (wedge(to_grade a, to_grade b) = to_grade(b a)).
         """
-        k = x.level
-        if k == 0:
-            return x
-        g, pf = self.g, self.pf
-        out: dict[Loop, float] = {}
-        for lp, c in x.terms.items():
-            mid = g.tgt(lp.edges[k - 1])
-            w = pf.mu[lp.base] / pf.mu[mid]
-            edges = lp.edges[-k:] + lp.edges[:-k]
-            key = Loop(g.src(edges[0]), edges)
-            out[key] = out.get(key, 0.0) + c * w
-        shading = x.shading if k % 2 == 0 else -x.shading
-        return Element(k, shading, _prune(out))
-
-    def from_grade(self, x: Element) -> Element:
-        """Inverse of `to_grade`."""
-        k = x.level
-        if k == 0:
-            return x
-        g, pf = self.g, self.pf
-        out: dict[Loop, float] = {}
-        for lp, c in x.terms.items():
-            edges = lp.edges[k:] + lp.edges[:k]
-            base = g.src(edges[0])
-            mid = g.tgt(edges[k - 1])
-            key = Loop(base, edges)
-            out[key] = out.get(key, 0.0) + c * pf.mu[mid] / pf.mu[base]
-        shading = x.shading if k % 2 == 0 else -x.shading
-        return Element(k, shading, _prune(out))
+        return self._turn(x, x.level, curved=True)
 
 
 def _conj(c):

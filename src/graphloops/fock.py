@@ -166,19 +166,6 @@ class FockSpace:
             out = out + coeff * self.c_loop(lp, grade)
         return out.tocsr()
 
-    def operator_of(self, expr, *args) -> sp.csr_matrix:
-        """Dispatch used by the CLI: create/annihilate/c/c_loop/cup/cupcup."""
-        table = {
-            "create": self.create,
-            "annihilate": self.annihilate,
-            "c": self.c,
-            "c_loop": self.c_loop,
-            "cup": self.cup_operator,
-            "cupcup": self.nested_cup_operator,
-            "xi_vector": self.xi_vector,
-        }
-        return table[expr](*args)
-
     # -- distinguished operators -----------------------------------------
 
     def cup_operator(self) -> sp.csr_matrix:

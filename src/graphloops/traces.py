@@ -1,9 +1,9 @@
 """Vertex trace functionals, graded traces, inner products and the
 free-structure dimension report.
 
-The grade-k trace closes the k-edge frame of each stored loop (the first k
-edges must mirror the last k) with weight [mu(s)/mu(t)]^{3/2} per frame
-edge, contracts the middle word with the full non-crossing pairing sum, and
+The grade-k trace closes the k-edge frame of each stored loop
+(`LoopAlgebra.frame_weight` at power -3, i.e. [mu(s)/mu(t)]^{3/2} per frame
+edge), contracts the middle word with the full non-crossing pairing sum, and
 places the value at the middle vertex.  This normalization is pinned by
 three identities, all enforced in the tests:
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import EVEN
+from .graphs import EVEN, loops_at
 from .elements import Element, Loop, LoopAlgebra
 from .ncpairings import (catalan, indecomposable_dimension_series,
                          noncrossing_pairings)
@@ -121,24 +121,21 @@ def phi_vertex(alg: LoopAlgebra, x: Element, v: int | str,
 
 def trace_k(alg: LoopAlgebra, k: int, x: Element) -> CenterValue:
     """Grade-k trace: close the k-edge frame, pair out the middle word."""
+    if k < 0:
+        raise ValueError("trace grade must be >= 0")
     if x.level < k:
         raise ValueError("element level below trace grade")
-    g, pf = alg.g, alg.pf
+    g = alg.g
     values: dict[int, float] = {}
     out_shading = x.shading if k % 2 == 0 else -x.shading
     for lp, c in x.terms.items():
         edges = lp.edges
-        w = c
-        for j in range(k):
-            if edges[j] != g.opp(edges[-1 - j]):
-                w = 0.0
-                break
-            w /= pf.sigma(edges[j]) ** 3
+        # no call at k = 0, the hot case of every moment and vertex functional
+        w = c * alg.frame_weight(edges, k, -3) if k else c
         if w == 0.0:
             continue
-        middle = edges[k: len(edges) - k]
         v_out = g.tgt(edges[k - 1]) if k else lp.base
-        w *= _phi_word(alg, middle)
+        w *= _phi_word(alg, edges[k: len(edges) - k])
         values[v_out] = values.get(v_out, 0.0) + w
     return CenterValue(out_shading, {v: x for v, x in values.items() if x != 0.0})
 
@@ -146,16 +143,9 @@ def trace_k(alg: LoopAlgebra, k: int, x: Element) -> CenterValue:
 def usual_trace(alg: LoopAlgebra, x: Element) -> CenterValue:
     """Closed formula for the trace of a level-k element written in planar
     coordinates: prod_j delta_{a_j = opp(a_{2k+1-j})} sigma(a_j) at the base."""
-    g, pf = alg.g, alg.pf
-    k = x.level
     values: dict[int, float] = {}
     for lp, c in x.terms.items():
-        w = c
-        for j in range(k):
-            if lp.edges[j] != g.opp(lp.edges[-1 - j]):
-                w = 0.0
-                break
-            w *= pf.sigma(lp.edges[j])
+        w = c * alg.frame_weight(lp.edges, x.level, 1)
         if w:
             values[lp.base] = values.get(lp.base, 0.0) + w
     return CenterValue(x.shading, values)
@@ -170,16 +160,13 @@ def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
     trace-preserving; it differs from the center-valued trace by the
     per-loop mu ratio.
     """
+    if n < 0:
+        raise ValueError("frame depth must be >= 0")
     g, pf = alg.g, alg.pf
     total = 0.0
     for lp, c in x.terms.items():
         edges = lp.edges
-        w = c / pf.delta ** n
-        for j in range(n):
-            if edges[j] != g.opp(edges[-1 - j]):
-                w = 0.0
-                break
-            w /= pf.sigma(edges[j]) ** 2
+        w = c / pf.delta ** n * alg.frame_weight(edges, n, -2)
         if w == 0.0:
             continue
         v_mid = g.tgt(edges[n - 1]) if n else lp.base
@@ -199,7 +186,7 @@ def inner_product(alg: LoopAlgebra, a: Element, b: Element) -> CenterValue:
     pf = alg.pf
     values: dict[int, float] = {}
     for lp, ca in a.terms.items():
-        cb = b.terms.get(alg.reverse_loop(lp))
+        cb = b.terms.get(Loop(lp.base, alg.mirror(lp.edges)))
         if cb is None:
             continue
         w = 1.0
@@ -213,21 +200,15 @@ def inner_product(alg: LoopAlgebra, a: Element, b: Element) -> CenterValue:
 def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
     """Loop basis at (v, k) and the positive-form Gram
     G[x, y] = mu(v) phi_v(dagger(x) wedge_0 y)."""
-    g = alg.g
-    basis = [Loop(v, es) for es in _loops_cached(alg, v, k)]
+    basis = [Loop(v, es) for es in loops_at(alg.g, v, k)]
     n = len(basis)
     mat = np.zeros((n, n))
     mu_v = alg.pf.mu[v]
     for i, x in enumerate(basis):
-        rev = alg.reverse_loop(x).edges
+        rev = alg.mirror(x.edges)
         for j, y in enumerate(basis):
             mat[i, j] = mu_v * _phi_word(alg, rev + y.edges, sigma)
     return basis, mat
-
-
-def _loops_cached(alg, v, k):
-    from .graphs import loops_at
-    return loops_at(alg.g, v, k)
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,

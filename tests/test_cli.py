@@ -124,6 +124,33 @@ def test_unknown_graph_name_is_usage_error():
     assert "unknown builtin graph 'zz9'" in proc.stderr
 
 
+MC_A3 = ("mc", "--graph", "a3", "--loop", "e1 e1' e1 e1'")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (MC_A3 + ("--N", "2", "--M", "2", "--grid"), "--grid"),
+    (MC_A3 + ("--N", "0"), "--N"),
+    (MC_A3 + ("--N", "-3"), "--N"),
+    (MC_A3 + ("--samples", "0"), "--samples"),
+    (MC_A3 + ("--probes", "0"), "--probes"),
+    (MC_A3 + ("--threads", "0"), "--threads"),
+    (("freedim", "--graph", "s4", "--n", "-2"), "--n"),
+    (("trace", "--graph", "a3", "--loop", "e1 e1'", "--k", "-1"), "--k"),
+    (("fock", "--graph", "a2", "--max-len", "-2"), "--max-len"),
+    (("moments", "--graph", "a3", "--n", "-1"), "--n"),
+    (("tower", "--graph", "a3", "--k", "1"), "--k"),
+])
+def test_out_of_range_size_is_usage_error(capsys, argv, flag):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:          # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err
+
+
 def test_mc_large_blocks_run_matrix_free():
     # 400 x 400 is past the dense memory cap; the matrix-free engine holds
     # only thin bases there

@@ -222,6 +222,42 @@ def test_usual_unit_two_sided(test_algebras):
             assert (alg.usual_mult(x, u) - x).norm_inf() <= 1e-9
 
 
+def _path_sum_unit(alg, k, shading):
+    """Sum over length-k paths p of prod sigma(p_i) (p followed by its mirror)."""
+    g, terms = alg.g, {}
+
+    def walk(at, edges, weight):
+        if len(edges) == k:
+            back = tuple(g.opp(e) for e in reversed(edges))
+            terms[Loop(g.src(edges[0]) if edges else at, edges + back)] = weight
+            return
+        for e in g.edges_from(at):
+            walk(g.tgt(e), edges + (e,), weight * alg.pf.sigma(e))
+
+    for v in g.vertices_of_parity(shading):
+        walk(v, (), 1.0)
+    return terms
+
+
+def test_unit_is_the_identity_diagram(a3, s4):
+    for alg in (a3, s4):
+        for shading in (EVEN, ODD):
+            for k in range(5):
+                identity = tuple((j, 2 * k + 1 - j) for j in range(1, k + 1))
+                u = alg.unit(k, shading)
+                assert u.terms == alg.tl_element(identity, shading).terms
+                assert u.terms == _path_sum_unit(alg, k, shading)
+
+
+def test_empty_diagram_is_level0_unit(a3, s4):
+    for alg in (a3, s4):
+        t0 = alg.big_T(0)
+        assert (t0.level, t0.shading) == (0, EVEN)
+        assert t0.terms == alg.unit(0, EVEN).terms
+        assert t0.terms == {Loop(v, ()): 1.0
+                            for v in alg.g.vertices_of_parity(EVEN)}
+
+
 def test_usual_unit_weights_follow_pf(a3):
     # derived unit carries prod sigma(p_i) on the doubled path loop, which is
     # only the bare "(p, p)" sum when mu is constant
@@ -332,13 +368,32 @@ def test_grade_bridge_roundtrip_and_antihomomorphism(a3, s4):
         for k in (2, 3):
             a = random_element(alg, k, EVEN, rng)
             b = random_element(alg, k, EVEN, rng)
-            assert (alg.from_grade(alg.to_grade(a)) - a).norm_inf() <= 1e-12
+            assert (alg.to_grade(alg.to_grade(a)) - a).norm_inf() <= 1e-12
             lhs = alg.wedge(k, alg.to_grade(a), alg.to_grade(b))
             rhs = alg.to_grade(alg.usual_mult(b, a))
             assert (lhs - rhs).norm_inf() <= 1e-9
             # unit to unit
         u = alg.unit(2, EVEN)
         assert (alg.to_grade(u) - u).norm_inf() <= 1e-9
+
+
+def test_to_grade_is_half_rotation_at_even_level(a3, s4):
+    rng = np.random.default_rng(11)
+    for alg in (a3, s4):
+        for k in (2, 4):
+            x = random_element(alg, k, EVEN, rng)
+            assert alg.to_grade(x).terms == alg.rotate(x, k // 2).terms
+
+
+def test_negative_grade_rejected(a3):
+    from graphloops.traces import trace_k
+    x = a3.single_loop(loop_from_tokens(a3.g, "e1 e1'"))
+    with pytest.raises(ValueError):
+        a3.wedge(-1, x, x)
+    with pytest.raises(ValueError):
+        trace_k(a3, -1, x)
+    with pytest.raises(ValueError):
+        phi_frame(a3, x, -1)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

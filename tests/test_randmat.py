@@ -12,6 +12,24 @@ from graphloops.randmat import (DENSE, MATRIX_FREE, BlockModelSpec,
                                 trend_non_increasing)
 
 
+def test_dense_gaussian_stream_is_pinned():
+    # values of the numpy SFC64 stream keyed on (seed, counter); every dense
+    # `mc` row depends on them, so a change here moves those rows
+    from graphloops._normals import normals
+    want = {(7, 0): [-0.6105022430419922, 0.3520309031009674,
+                     -0.36234205961227417, 2.0478034019470215,
+                     -0.04275914281606674],
+            (2026, 123456789): [0.48116958141326904, -2.1410529613494873,
+                                0.2925471365451813, -0.37496909499168396]}
+    for (seed, counter), values in want.items():
+        expect = np.array(values, dtype=np.float32)
+        got = normals(seed, counter, len(values))
+        assert got.dtype == np.float32 and np.array_equal(got, expect)
+        buf = np.empty(len(values), dtype=np.float32)
+        assert normals(seed, counter, len(values), out=buf) is buf
+        assert np.array_equal(buf, expect)
+
+
 def test_block_dims_and_tr_d(a3):
     spec = BlockModelSpec(a3, 40, 40, seed=1)
     g = a3.g
