@@ -1,8 +1,8 @@
 """Command-line surface: reports over all modules.
 
 Exit status: 0 success, 1 failed numeric check, 2 usage error (argparse,
-or an input the model cannot take: a bad value, a missing file, a size past
-a memory cap).
+or an input the model cannot take: a bad value, a missing file, a Fock path
+basis past its cap).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .graphs import (EVEN, ODD, GraphError, builtin_graph, load_graph,
 from .elements import LoopAlgebra, loop_from_tokens, loop_tokens
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .ncpairings import free_poisson_moments
-from .randmat import (BlockModelSpec, convergence_sweep, engine_for,
-                      estimate_trace, trend_non_increasing)
+from .randmat import (BlockModelSpec, convergence_sweep, estimate_trace,
+                      trend_non_increasing)
 from .reports import RunReport, emit_report, graph_digest
 from .selftest import run_selftest
 from .tangles import eval_tangle, parse_tangle
@@ -226,12 +226,10 @@ def cmd_mc(args) -> int:
     if args.grid and min(args.N, args.M) < 4:
         raise ValueError("--grid sweeps down to (N/4, M/4): it needs "
                          "--N and --M of at least 4")
-    spec = BlockModelSpec(alg, args.N, args.M, args.seed)
     report = RunReport("mc", graph_digest(alg.g),
                        {"graph": args.graph, "loop": args.loop,
                         "N": args.N, "M": args.M, "samples": args.samples,
-                        "probes": args.probes,
-                        "engine": engine_for(spec, [lp], args.probes)},
+                        "probes": args.probes},
                        seed=args.seed)
     if args.grid:
         grid = [(args.N // 4, args.M // 4), (args.N // 2, args.M // 2),
@@ -246,6 +244,7 @@ def cmd_mc(args) -> int:
         report.add("trend_non_increasing", 1.0 if ok else 0.0, 1.0)
         failed = not ok
     else:
+        spec = BlockModelSpec(alg, args.N, args.M, args.seed)
         est = estimate_trace(spec, lp, args.samples, args.probes, args.threads)
         report.add("estimate", est.mean, est.target)
         report.add("stderr", est.stderr)
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", default=None)
     p.add_argument("--N", type=POSITIVE, default=40)
     p.add_argument("--M", type=POSITIVE, default=40)
-    p.add_argument("--samples", type=POSITIVE, default=200)
+    p.add_argument("--samples", type=_int_at_least(2), default=200)
     p.add_argument("--probes", type=POSITIVE, default=8)
     p.add_argument("--grid", action="store_true",
                    help="sweep (N/4,M/4) -> (N/2,M/2) -> (N,M)")

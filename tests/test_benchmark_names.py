@@ -42,3 +42,36 @@ def test_every_declared_layer_metric_is_emitted():
                and name not in added_by_runner]
     missing = sorted(set(checked) - set(doc["emitted"]))
     assert not missing, missing
+
+
+REACH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import graphloops, graphloops.cli
+import spans
+recorder = spans.Recorder()
+recorder.install()
+from graphloops import (LoopAlgebra, builtin_graph, loop_from_tokens,
+                        perron_frobenius)
+from graphloops.randmat import BlockModelSpec, estimate_traces
+g = builtin_graph("a2")
+alg = LoopAlgebra(g, perron_frobenius(g))
+spec = BlockModelSpec(alg, 12, 12, 1)
+estimate_traces(spec, [loop_from_tokens(g, "e e' e e'")], samples=2, probes=2)
+print(json.dumps(recorder.to_json()["counts"]))
+"""
+
+
+def test_sampler_counts_reach_the_benchmark():
+    # the chain and Gaussian counts come from wrapped package names, so the
+    # sampler the estimators run must be the one those names reach; at
+    # 144 x 144 blocks this batch took the unwrapped lazy engine when the
+    # estimators still chose between two engines
+    proc = subprocess.run([sys.executable, "-c", REACH,
+                           str(ROOT / "perfbench")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    for key in ("randmat.samples", "randmat.matvecs", "_normals.values"):
+        assert counts.get(key, 0) > 0, key
+

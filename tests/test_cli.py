@@ -139,6 +139,7 @@ MC_A3 = ("mc", "--graph", "a3", "--loop", "e1 e1' e1 e1'")
     (("fock", "--graph", "a2", "--max-len", "-2"), "--max-len"),
     (("moments", "--graph", "a3", "--n", "-1"), "--n"),
     (("tower", "--graph", "a3", "--k", "1"), "--k"),
+    (MC_A3 + ("--samples", "1"), "--samples"),
 ])
 def test_out_of_range_size_is_usage_error(capsys, argv, flag):
     try:
@@ -152,24 +153,21 @@ def test_out_of_range_size_is_usage_error(capsys, argv, flag):
 
 
 def test_mc_large_blocks_run_matrix_free():
-    # 400 x 400 is past the dense memory cap; the matrix-free engine holds
-    # only thin bases there
+    # 400 x 400 would be 10^10 dense block entries; the sampler holds only
+    # thin bases of the queried directions
     proc = _cli_subprocess("mc", "--graph", "a3", "--loop", "e1 e1'",
                            "--N", "400", "--M", "400")
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["parameters"]["engine"] == "matrix-free"
 
 
-def test_mc_dense_past_memory_cap_is_usage_error():
-    # 500 probes send this batch to the dense engine, whose blocks at
-    # N = M = 120 exceed the cap; the cap fires before any block is drawn
-    proc = _cli_subprocess("mc", "--graph", "a3", "--loop", "e1 e1' e2 e2'",
-                           "--N", "120", "--M", "120", "--probes", "500",
-                           "--samples", "2")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "memory cap" in proc.stderr
+def test_fock_past_basis_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr("graphloops.fock.BASIS_CAP", 10)
+    code = main(["fock", "--graph", "a2", "--max-len", "4", "--depth", "6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "path basis exceeds cap" in err
+    assert "Traceback" not in err
 
 
 def test_package_import_leaves_scipy_sparse_unloaded():

@@ -5,29 +5,24 @@ import pytest
 
 from graphloops import BipartiteGraph, LoopAlgebra, perron_frobenius
 from graphloops.elements import Loop, loop_from_tokens
-from graphloops.randmat import (DENSE, MATRIX_FREE, BlockModelSpec,
-                                MatrixFreeModel, convergence_sweep,
-                                engine_for, estimate_trace, estimate_traces,
-                                loop_target, sample_model,
+from graphloops.randmat import (BlockModelSpec, SampledModel, _LazyBlock,
+                                convergence_sweep, estimate_trace,
+                                estimate_traces, loop_target,
                                 trend_non_increasing)
 
 
-def test_dense_gaussian_stream_is_pinned():
-    # values of the numpy SFC64 stream keyed on (seed, counter); every dense
-    # `mc` row depends on them, so a change here moves those rows
-    from graphloops._normals import normals
-    want = {(7, 0): [-0.6105022430419922, 0.3520309031009674,
-                     -0.36234205961227417, 2.0478034019470215,
-                     -0.04275914281606674],
-            (2026, 123456789): [0.48116958141326904, -2.1410529613494873,
-                                0.2925471365451813, -0.37496909499168396]}
-    for (seed, counter), values in want.items():
-        expect = np.array(values, dtype=np.float32)
-        got = normals(seed, counter, len(values))
-        assert got.dtype == np.float32 and np.array_equal(got, expect)
-        buf = np.empty(len(values), dtype=np.float32)
-        assert normals(seed, counter, len(values), out=buf) is buf
-        assert np.array_equal(buf, expect)
+def test_loop_trace_is_pinned(a3):
+    # one sample's values at a fixed seed: every `mc` row depends on the
+    # loop's stream, the Gaussian draws and the direction bases, so a change
+    # to any of them moves these values; the six-letter word fills the
+    # 12 x 9 block of e1 and so also takes the SVD fallback
+    spec = BlockModelSpec(a3, 3, 3, seed=7)
+    want = {"e1 e1'": 1.1032241695883314,
+            "e1 e1' e2 e2'": 1.123727702593881,
+            "e1 e1' e1 e1' e1 e1'": 5.005016369423963}
+    for word, value in want.items():
+        got = SampledModel(spec, 2).loop_trace(loop_from_tokens(a3.g, word), 4)
+        assert got == pytest.approx(value, rel=1e-9), word
 
 
 def test_block_dims_and_tr_d(a3):
@@ -42,28 +37,32 @@ def test_block_dims_and_tr_d(a3):
 
 def test_same_seed_reproduces(a3):
     spec = BlockModelSpec(a3, 8, 8, seed=77)
-    m1 = sample_model(spec, 3)
-    m2 = sample_model(spec, 3)
-    for e in a3.g.positive_edges():
-        assert np.array_equal(m1.blocks[e], m2.blocks[e])
-    m3 = sample_model(spec, 4)
-    assert not np.array_equal(m1.blocks[0], m3.blocks[0])
+    lp = loop_from_tokens(a3.g, "e1 e1' e2 e2'")
+    value = SampledModel(spec, 3).loop_trace(lp, 4)
+    assert SampledModel(spec, 3).loop_trace(lp, 4) == value
+    assert SampledModel(spec, 4).loop_trace(lp, 4) != value
 
 
 def test_adjoint_block_exact(a3):
-    spec = BlockModelSpec(a3, 6, 6, seed=5)
-    model = sample_model(spec, 0)
-    e = 0
-    eye = np.eye(spec.block_dim(a3.g.src(e)), dtype=np.complex64)
-    implied = model.apply_block(e ^ 1, eye)
-    assert np.allclose(implied, model.blocks[e].conj().T, atol=1e-7)
+    # the whole block read through X then through X* is one matrix and
+    # its conjugate transpose
+    spec = BlockModelSpec(a3, 3, 3, seed=5)
+    model = SampledModel(spec, 0)
+    model.loop_trace(loop_from_tokens(a3.g, "e1 e1' e2 e2'"), 2)
+    g, e = a3.g, 0
+    rows, cols = spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e))
+    x = model.apply_block(e, np.eye(cols))
+    x_star = model.apply_block(e ^ 1, np.eye(rows))
+    assert np.allclose(x_star, x.conj().T, atol=1e-10)
 
 
 def test_empirical_entry_variance(a3):
-    spec = BlockModelSpec(a3, 40, 40, seed=9)
-    model = sample_model(spec, 0)
-    for e in a3.g.positive_edges():
-        block = model.blocks[e]
+    spec = BlockModelSpec(a3, 10, 10, seed=9)
+    model = SampledModel(spec, 0)
+    model.loop_trace(loop_from_tokens(a3.g, "e1 e1' e2 e2'"), 1)
+    g = a3.g
+    for e in g.positive_edges():
+        block = model.apply_block(e, np.eye(spec.block_dim(g.tgt(e))))
         emp = float(np.mean(np.abs(block) ** 2))
         want = spec.entry_variance(e)
         assert abs(emp - want) <= 0.05 * want
@@ -109,7 +108,6 @@ def test_batched_estimates_match_separate(a2):
     spec = BlockModelSpec(a2, 12, 12, seed=8)
     l1 = loop_from_tokens(a2.g, "e e' e e'")
     l2 = loop_from_tokens(a2.g, "e e' e e' e e'")
-    assert engine_for(spec, [l1, l2], 8) == DENSE
     both = estimate_traces(spec, [l2, l1], samples=20)
     alone = estimate_trace(spec, l1, samples=20)
     assert (both[1].mean, both[1].stderr) == (alone.mean, alone.stderr)
@@ -131,34 +129,11 @@ def test_seed_variation_consistent(a2):
     assert abs(e1.mean - e2.mean) <= 3.0 * (e1.stderr + e2.stderr)
 
 
-def test_memory_cap():
-    # only the dense engine holds blocks, so only dense sampling is capped
-    g = BipartiteGraph.build(
-        [("v", "+"), ("w", "-")], [("e", "v", "w")])
-    alg = LoopAlgebra(g, perron_frobenius(g))
-    spec = BlockModelSpec(alg, 20000, 20000, seed=0)
-    with pytest.raises(MemoryError):
-        sample_model(spec, 0)
-
-
-def test_engine_rule_from_shapes(a2, a3):
-    # the acceptance sweep's words query rank <= 12 of a side >= 1600 at
-    # N = M = 40; twelve-letter words with 32 probes query up to 192
-    for alg, word in ((a2, "e e' e e'"), (a3, "e1 e1' e2 e2'")):
-        spec = BlockModelSpec(alg, 40, 40, seed=0)
-        assert engine_for(spec, [loop_from_tokens(alg.g, word)], 3) == MATRIX_FREE
-    long_word = loop_from_tokens(a3.g, "e1 e1' e2 e2' e1 e1' e2 e2' e1 e1' e2 e2'")
-    spec = BlockModelSpec(a3, 40, 40, seed=0)
-    assert engine_for(spec, [long_word], 32) == DENSE
-    assert engine_for(spec, [long_word], 3) == MATRIX_FREE
-
-
 def test_dense_sweep_rows_match_single_size(a3):
-    # each grid size draws its own dense model, so a sweep row equals the
+    # each grid size draws its own model, so a sweep row equals the
     # estimate at that size alone, whatever the grid and thread count
     lp = loop_from_tokens(a3.g, "e1 e1' e2 e2'")
     grid = [(3, 3), (4, 4)]
-    assert engine_for(BlockModelSpec(a3, 4, 4, seed=9), [lp], 2) == DENSE
     rows = convergence_sweep(a3, [lp], grid, samples=12, seed=9, probes=2,
                              threads=2)[lp]
     for (n, m), row in zip(grid, rows):
@@ -172,22 +147,44 @@ def test_matrix_free_batch_and_thread_invariance(a3):
     spec = BlockModelSpec(a3, 10, 10, seed=21)
     l1 = loop_from_tokens(a3.g, "e1 e1' e2 e2'")
     l2 = loop_from_tokens(a3.g, "e2 e2' e1 e1'")
-    assert engine_for(spec, [l1, l2], 3) == MATRIX_FREE
     seq = estimate_traces(spec, [l2, l1], samples=16, probes=3, threads=1)
     par = estimate_traces(spec, [l1], samples=16, probes=3, threads=4)
     assert (seq[1].mean, seq[1].stderr) == (par[0].mean, par[0].stderr)
 
 
+def _dense_traces(spec, lp, probes, n, rng):
+    """n draws of a reference sampler: every block drawn in full as iid
+    CN(0, s^2), then tr(d_v X_w) / (N M), summed exactly for e e' and by
+    the same complex Rademacher Hutchinson chain as the sampler otherwise."""
+    g = spec.alg.g
+    blocks = {}
+    for e in g.positive_edges():
+        shape = (n, spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e)))
+        sd = math.sqrt(spec.entry_variance(e) / 2)
+        x = sd * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        blocks[e], blocks[e ^ 1] = x, x.conj().transpose(0, 2, 1)
+    norm = 1.0 / (spec.N * spec.M)
+    if len(lp.edges) == 2 and lp.edges[1] == lp.edges[0] ^ 1:
+        return norm * np.sum(np.abs(blocks[lp.edges[0]]) ** 2, axis=(1, 2))
+    z = np.exp(0.5j * np.pi
+               * rng.integers(0, 4, (n, spec.block_dim(lp.base), probes)))
+    w = z
+    for e in reversed(lp.edges):
+        w = blocks[e] @ w
+    return norm * np.einsum("sij,sij->s", z.conj(), w).real / probes
+
+
 def test_matrix_free_matches_exact_finite_means(a3):
-    """Both engines against the exact finite-size means of iid CN(0, s^2)
-    blocks (divided by N M):  E tr X X* = s^2 R C,
-    E tr (X X*)^2 = s^4 R C (R + C),  E tr X1 X1* X2 X2* = s1^2 s2^2 C1 C2 R,
+    """The sampler and a dense reference sampler against the exact
+    finite-size means of iid CN(0, s^2) blocks (divided by N M):
+    E tr X X* = s^2 R C,  E tr (X X*)^2 = s^4 R C (R + C),
+    E tr X1 X1* X2 X2* = s1^2 s2^2 C1 C2 R,
     E tr (X X*)^3 = s^6 R C (R^2 + 3 R C + C^2 + 1).
 
     At N = M = 2 the blocks are 6 x 4, so three probes of the four-letter
-    words fill them and the matrix-free engine drops dependent directions.
-    Only a word of six letters or more sees a left query made after a right
-    one through the final inner product.  3000 samples per engine and word,
+    words fill them and the sampler drops dependent directions.  Only a
+    word of six letters or more sees a left query made after a right one
+    through the final inner product.  3000 samples per sampler and word,
     seed 2024, 4 sigma.
     """
     n_samples, probes = 3000, 3
@@ -208,27 +205,64 @@ def test_matrix_free_matches_exact_finite_means(a3):
         values = np.asarray(values)
         return values.mean(), values.std(ddof=1) / math.sqrt(len(values))
 
+    rng = np.random.default_rng(2025)
     for word, want in exact.items():
         lp = loop_from_tokens(g, word)
-        lazy = mean_stderr([MatrixFreeModel(spec, i).loop_trace(lp, probes)
+        lazy = mean_stderr([SampledModel(spec, i).loop_trace(lp, probes)
                             for i in range(n_samples)])
-        dense = mean_stderr([sample_model(spec, i).loop_trace(lp, probes)
-                             for i in range(n_samples)])
+        dense = mean_stderr(_dense_traces(spec, lp, probes, n_samples, rng))
         for mean, stderr in (lazy, dense):
             assert abs(mean - want) <= 4 * stderr, (word, mean, want)
         assert abs(lazy[0] - dense[0]) <= 4 * math.hypot(lazy[1], dense[1])
 
-    model = MatrixFreeModel(spec, 0)
+    model = SampledModel(spec, 0)
     model.loop_trace(loop_from_tokens(g, "e1 e1' e1 e1'"), probes)
     block = model.blocks[e1]
     assert block.P.shape[1] == rows and block.Q.shape[1] == c1
+
+
+def test_lazy_block_bidiagonal_law():
+    """Golub-Kahan bidiagonalization from e_1 of a rows x cols block of iid
+    CN(0, var) has independent chi entries (Dumitriu-Edelman, J. Math. Phys.
+    43, 2002): scaled by sqrt(var / 2), alpha_j ~ chi_{2 (rows - j + 1)} and
+    beta_j ~ chi_{2 (cols - j)}.  The plain three-term recurrence alternates
+    X v and X* u queries without reorthogonalizing, so a fresh draw not
+    projected off the known subspaces shows in the law.  3000 blocks of
+    6 x 4, seed 2024, every Kolmogorov-Smirnov p > 1e-3."""
+    from scipy import stats
+
+    rows, cols, var, n_blocks = 6, 4, 0.7, 3000
+    rng = np.random.default_rng(2024)
+    alphas, betas = [], []
+    for _ in range(n_blocks):
+        block = _LazyBlock(rows, cols, var, rng)
+        v, u = np.eye(cols, 1, dtype=complex), 0.0
+        a, b = [], [0.0]
+        for j in range(3):
+            u = block.matvec(v) - b[-1] * u
+            a.append(np.linalg.norm(u))
+            u = u / a[-1]
+            if j < 2:
+                v = block.rmatvec(u) - a[-1] * v
+                b.append(np.linalg.norm(v))
+                v = v / b[-1]
+        alphas.append(a)
+        betas.append(b[1:])
+    scale = math.sqrt(var / 2)
+    alphas, betas = np.array(alphas) / scale, np.array(betas) / scale
+    for j in range(3):
+        df = 2 * (rows - j)
+        assert stats.kstest(alphas[:, j], stats.chi(df).cdf).pvalue > 1e-3, j
+    for j in range(2):
+        df = 2 * (cols - j - 1)
+        assert stats.kstest(betas[:, j], stats.chi(df).cdf).pvalue > 1e-3, j
 
 
 def test_matrix_free_block_answers_as_one_matrix(a3):
     # interleaved X v and X* u queries, past the point where they fill the
     # 6 x 4 block, must agree as u* (X v) == (X* u)* v
     spec = BlockModelSpec(a3, 2, 2, seed=5)
-    model = MatrixFreeModel(spec, 0)
+    model = SampledModel(spec, 0)
     model.loop_trace(loop_from_tokens(a3.g, "e1 e1' e2 e2'"), 2)
     g = a3.g
     e = g.oriented_edge_by_name("e1")
