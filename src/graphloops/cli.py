@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from .graphs import (EVEN, ODD, GraphError, builtin_graph, load_graph,
-                     perron_frobenius)
-from .elements import LoopAlgebra, loop_from_tokens, loop_tokens
+                     perron_frobenius, pf_from_mu)
+from .elements import LoopAlgebra, loop_from_tokens, loop_label
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .ncpairings import free_poisson_moments
 from .randmat import (BlockModelSpec, convergence_sweep, estimate_trace,
@@ -46,9 +46,7 @@ def _load_alg(name_or_path: str, tol: float) -> LoopAlgebra:
         doc = json.loads(text)
         g = load_graph(doc)
         if "mu" in doc:
-            from .graphs import pf_from_mu
             return LoopAlgebra(g, pf_from_mu(g, doc["mu"], max(tol, 1e-9)))
-        return LoopAlgebra(g, perron_frobenius(g, min(tol, 1e-12)))
     return LoopAlgebra(g, perron_frobenius(g, min(tol, 1e-12)))
 
 
@@ -161,14 +159,15 @@ def cmd_tangle(args) -> int:
     if args.inputs:
         with open(args.inputs, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("--inputs must be a JSON object {name: element}")
         inputs = {name: alg.from_json_dict(elt) for name, elt in doc.items()}
     result = eval_tangle(alg, prog, inputs)
     report = RunReport("tangle", graph_digest(alg.g),
                        {"graph": args.graph, "program": prog.name,
                         "out_level": result.level})
     for lp in sorted(result.terms):
-        label = loop_tokens(alg.g, lp) or alg.g.vertex_names[lp.base]
-        report.add(label, result.terms[lp])
+        report.add(loop_label(alg.g, lp), result.terms[lp])
     return _finish(report, args, started, False)
 
 

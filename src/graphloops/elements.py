@@ -116,6 +116,11 @@ def loop_tokens(g: BipartiteGraph, lp: Loop) -> str:
     return " ".join(g.oriented_name(e) for e in lp.edges)
 
 
+def loop_label(g: BipartiteGraph, lp: Loop) -> str:
+    """The loop's tokens, or its base vertex's name for a level-0 loop."""
+    return loop_tokens(g, lp) or g.vertex_names[lp.base]
+
+
 class LoopAlgebra:
     """Operations of the graded loop algebra over a fixed (graph, mu) pair."""
 
@@ -155,12 +160,20 @@ class LoopAlgebra:
         return Element(lp.level, self.g.parity[lp.base], {lp: coeff})
 
     def from_json_dict(self, doc: dict) -> Element:
-        shading = {"+": EVEN, "-": ODD}[doc["shading"]]
-        terms = {}
-        for row in doc["terms"]:
-            lp = loop_from_tokens(self.g, row["loop"], row.get("base"))
-            terms[lp] = terms.get(lp, 0.0) + row["coeff"]
-        return self.element(terms, level=doc["level"], shading=shading)
+        try:
+            level, shading, rows = doc["level"], doc["shading"], doc["terms"]
+            terms = {}
+            for row in rows:
+                lp = loop_from_tokens(self.g, row["loop"], row.get("base"))
+                terms[lp] = terms.get(lp, 0.0) + row["coeff"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError("element JSON needs 'level', 'shading' and "
+                             f"'terms' [{{loop, coeff}}]; bad: {exc}") from None
+        if shading not in ("+", "-") or not isinstance(level, int):
+            raise ValueError("element JSON needs an integer 'level' and a "
+                             f"'shading' '+' or '-', not {level!r}, {shading!r}")
+        return self.element(terms, level=level,
+                            shading=EVEN if shading == "+" else ODD)
 
     def to_json_dict(self, x: Element) -> dict:
         rows = []
@@ -265,10 +278,8 @@ class LoopAlgebra:
             raise ValueError("usual multiplication needs equal levels")
         return self.wedge(a.level, a, b)
 
-    def involution(self, a: Element, t: int = 0) -> Element:
+    def involution(self, a: Element) -> Element:
         """Dagger: mirror each loop, conjugate coefficients."""
-        if a.level < t:
-            raise ValueError("level below grade")
         out = {}
         for lp, c in a.terms.items():
             key = Loop(lp.base, self.mirror(lp.edges))
@@ -382,10 +393,6 @@ class LoopAlgebra:
     def cup(self, shading: int = EVEN) -> Element:
         """The one-cup element: sum over edges e of sigma(e) (e e-opposite)."""
         return self.tl_element(((1, 2),), shading)
-
-    def nested_cup(self, shading: int = EVEN) -> Element:
-        """The two-cup nested element (pairing {1,4},{2,3})."""
-        return self.tl_element(((1, 4), (2, 3)), shading)
 
     def tl_generator(self, i: int, k: int, shading: int = EVEN) -> Element:
         """Unnormalized Temperley-Lieb generator E_i at level k (1 <= i < k):

@@ -1,10 +1,14 @@
 """Truncated Fock space over graph paths: the ground-truth operator model.
 
 The basis consists of all composable edge sequences of length 0..K (length 0
-= vertices).  The edge creation operator prepends an edge when composable;
-its adjoint strips a matching first edge with weight ||e||^2 =
-sqrt(mu(s(e))/mu(t(e))).  c(e) = create(e) + annihilate(e-opposite).  A
-grade-n loop e_1..e_n w f_n-opp..f_1-opp acts as
+= vertices), stored as a trie in length order: each path is its first edge
+prepended to a parent path one letter shorter (`PathBasis.first`,
+`PathBasis.parent`).  The edge creation operator prepends an edge when
+composable, mapping each parent to its child; its adjoint strips a matching
+first edge, child to parent, with weight ||e||^2 = sqrt(mu(s(e))/mu(t(e))).
+Both are read off the two arrays, as are the path weights ||p||^2 and the
+interior columns (a prefix of the length order).  c(e) = create(e) +
+annihilate(e-opposite).  A grade-n loop e_1..e_n w f_n-opp..f_1-opp acts as
 
     create(e_1) ... create(e_n) c(w) ann(f_n) ... ann(f_1),
 
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import EVEN, ODD
-from .elements import Element, Loop, LoopAlgebra
+from .elements import Element, Loop, LoopAlgebra, loop_label
 from .traces import _phi_word
 
 if TYPE_CHECKING:
@@ -37,44 +41,51 @@ BASIS_CAP = 10 ** 6
 
 
 class PathBasis:
-    """All composable paths of length <= K, deterministically ordered."""
+    """All composable paths of length <= K as a trie in length order.
+
+    Path i is the edge `first[i]` prepended to path `parent[i]`, one letter
+    shorter; vertex v is path v, with first and parent -1.  `offsets[n]` is
+    where the paths of length n start, and `norm_sq[i]` is the product of
+    ||e||^2 over the edges of path i.
+    """
 
     def __init__(self, alg: LoopAlgebra, depth: int):
         self.alg = alg
         self.depth = depth
         g = alg.g
-        paths: list[tuple[int, tuple[int, ...]]] = []
-        frontier = [(v, ()) for v in range(g.n_vertices)]
-        paths.extend(frontier)
+        n_v = g.n_vertices
+        paths = [(v, ()) for v in range(n_v)]
+        first, parent, norm_sq = [-1] * n_v, [-1] * n_v, [1.0] * n_v
+        offsets = [0, n_v]
+        into = [g.edges_into(v) for v in range(n_v)]
+        edge_norm_sq = [alg.pf.norm_sq(e) for e in g.oriented_edges]
         for _ in range(depth):
-            nxt = []
-            for start, edges in frontier:
-                head = g.src(edges[0]) if edges else start
-                for e in g.edges_into(head):
-                    nxt.append((g.src(e), (e,) + edges))
-            frontier = nxt
-            paths.extend(frontier)
+            for i in range(offsets[-2], offsets[-1]):
+                start, edges = paths[i]
+                for e in into[start]:
+                    paths.append((g.src(e), (e,) + edges))
+                    first.append(e)
+                    parent.append(i)
+                    norm_sq.append(norm_sq[i] * edge_norm_sq[e])
+            offsets.append(len(paths))
             if len(paths) > BASIS_CAP:
                 raise MemoryError("path basis exceeds cap")
-        self.paths = paths
-        self.index = {p: i for i, p in enumerate(paths)}
+        self.paths, self.offsets = paths, offsets
+        self.first, self.parent = np.array(first), np.array(parent)
+        self.norm_sq = np.array(norm_sq)
 
     def __len__(self):
         return len(self.paths)
 
     def vacuum_index(self, v: int) -> int:
-        return self.index[(v, ())]
+        return v
 
-    def interior_indices(self, max_len: int) -> list[int]:
-        return [i for i, (_, es) in enumerate(self.paths) if len(es) <= max_len]
+    def interior_indices(self, max_len: int) -> range:
+        """The paths of length <= max_len: a prefix of the length order."""
+        return range(self.offsets[min(max(max_len + 1, 0), self.depth + 1)])
 
     def path_norm_sq(self, i: int) -> float:
-        pf = self.alg.pf
-        _, edges = self.paths[i]
-        out = 1.0
-        for e in edges:
-            out *= pf.norm_sq(e)
-        return out
+        return float(self.norm_sq[i])
 
 
 class FockSpace:
@@ -83,46 +94,29 @@ class FockSpace:
     def __init__(self, alg: LoopAlgebra, depth: int):
         self.alg = alg
         self.basis = PathBasis(alg, depth)
-        self._create: dict[int, sp.csr_matrix] = {}
-        self._annihilate: dict[int, sp.csr_matrix] = {}
+        self._ladders: dict[tuple[int, bool], sp.csr_matrix] = {}
         self._c: dict[int, sp.csr_matrix] = {}
 
     # -- elementary operators ------------------------------------------
 
-    def create(self, e: int) -> sp.csr_matrix:
+    def _ladder(self, e: int, up: bool) -> sp.csr_matrix:
+        """The paths whose first edge is e against their parents, cached:
+        parent to child with weight 1 when `up` (create), child to parent
+        with weight ||e||^2 otherwise (annihilate)."""
         import scipy.sparse as sp
-        if e not in self._create:
-            g, b = self.alg.g, self.basis
-            rows, cols, vals = [], [], []
-            for i, (start, edges) in enumerate(b.paths):
-                if len(edges) >= b.depth:
-                    continue
-                head = g.src(edges[0]) if edges else start
-                if g.tgt(e) != head:
-                    continue
-                j = b.index[(g.src(e), (e,) + edges)]
-                rows.append(j)
-                cols.append(i)
-                vals.append(1.0)
-            n = len(b)
-            self._create[e] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._create[e]
+        if (e, up) not in self._ladders:
+            b = self.basis
+            kids = np.flatnonzero(b.first == e)
+            ends = (kids, b.parent[kids]) if up else (b.parent[kids], kids)
+            w = np.full(len(kids), 1.0 if up else self.alg.pf.norm_sq(e))
+            self._ladders[e, up] = sp.csr_matrix((w, ends), shape=(len(b),) * 2)
+        return self._ladders[e, up]
+
+    def create(self, e: int) -> sp.csr_matrix:
+        return self._ladder(e, True)
 
     def annihilate(self, e: int) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        if e not in self._annihilate:
-            g, b, pf = self.alg.g, self.basis, self.alg.pf
-            rows, cols, vals = [], [], []
-            w = pf.norm_sq(e)
-            for i, (start, edges) in enumerate(b.paths):
-                if edges and edges[0] == e:
-                    j = b.index[(g.tgt(e), edges[1:])]
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(w)
-            n = len(b)
-            self._annihilate[e] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._annihilate[e]
+        return self._ladder(e, False)
 
     def c(self, e: int) -> sp.csr_matrix:
         if e not in self._c:
@@ -176,10 +170,10 @@ class FockSpace:
             out = out + pf.sigma(e) * (self.c(e) @ self.c(g.opp(e)))
         return out.tocsr()
 
-    def nested_cup_operator(self, check_weights: bool = True) -> sp.csr_matrix:
+    def nested_cup_operator(self) -> sp.csr_matrix:
         """Sum over loops e f f-opp e-opp from even vertices with weight
         sqrt(mu(t(f))/mu(s(e))); equal to sigma(e) sigma(f) by composability,
-        asserted when check_weights."""
+        which is asserted."""
         import scipy.sparse as sp
         pf, g = self.alg.pf, self.alg.g
         out = sp.csr_matrix((len(self.basis), len(self.basis)))
@@ -187,35 +181,29 @@ class FockSpace:
             for e in g.edges_from(v):
                 for f in g.edges_from(g.tgt(e)):
                     w = (pf.mu[g.tgt(f)] / pf.mu[v]) ** 0.5
-                    if check_weights:
-                        alt = pf.sigma(e) * pf.sigma(f)
-                        if abs(w - alt) > 1e-12 * max(1.0, abs(w)):
-                            raise AssertionError(
-                                "nested-cup weight conventions disagree")
+                    if abs(w - pf.sigma(e) * pf.sigma(f)) > 1e-12 * max(1.0, w):
+                        raise AssertionError(
+                            "nested-cup weight conventions disagree")
                     word = self.c(e) @ self.c(f) @ self.c(g.opp(f)) @ self.c(g.opp(e))
                     out = out + w * word
         return out.tocsr()
 
     def xi_vector(self, k: int, v: int) -> np.ndarray:
-        """The k-th tensor power of sum sigma(e) e (x) e-opp at vertex v."""
-        g, pf, b = self.alg.g, self.alg.pf, self.basis
-        vec = np.zeros(len(b))
-        if 2 * k > b.depth:
+        """The k-th tensor power of sum sigma(e) e (x) e-opp at vertex v:
+        (sum over e from v of sigma(e) create(e) create(e-opp))^k applied to
+        the vacuum of v."""
+        g, pf, create = self.alg.g, self.alg.pf, self.create
+        if 2 * k > self.basis.depth:
             raise ValueError("depth too small for xi tensor power")
-
-        def rec(edges, weight, at, remaining):
-            if remaining == 0:
-                vec[b.index[(v, edges)]] += weight
-                return
-            for e in g.edges_from(at):
-                rec(edges + (e, g.opp(e)), weight * pf.sigma(e), at, remaining - 1)
-
-        rec((), 1.0, v, k)
+        vec = np.zeros(len(self.basis))
+        vec[self.basis.vacuum_index(v)] = 1.0
+        for _ in range(k):
+            vec = sum(pf.sigma(e) * (create(e) @ (create(g.opp(e)) @ vec))
+                      for e in g.edges_from(v))
         return vec
 
     def vector_norm_sq(self, vec: np.ndarray) -> float:
-        return float(sum(abs(c) ** 2 * self.basis.path_norm_sq(i)
-                         for i, c in enumerate(vec) if c != 0.0))
+        return float(np.abs(vec) ** 2 @ self.basis.norm_sq)
 
     # -- states ------------------------------------------------------------
 
@@ -230,40 +218,22 @@ class FockSpace:
         i = self.basis.vacuum_index(v)
         return float(X[i, i])
 
-    def phi_weight(self, X: sp.csr_matrix) -> float:
-        return sum(self.vacuum_expectation(X, v)
-                   for v in range(self.alg.g.n_vertices))
-
-    def phi1(self, X: sp.csr_matrix) -> float:
-        """Tower trace one step up: delta^-1 sum over odd-starting edges f of
-        sigma(f)^-2 <f, X f> / ||f||^2."""
-        g, pf, b = self.alg.g, self.alg.pf, self.basis
-        acc = 0.0
-        for f in g.negative_edges():
-            i = b.index[(g.src(f), (f,))]
-            acc += X[i, i] / pf.sigma(f) ** 2
-        return acc / pf.delta
-
     def phi_frame_operator(self, X: sp.csr_matrix, n: int) -> float:
         """Scalar tower weight at frame depth n, straight from the operator:
 
         delta^-n  sum over length-n paths p of
         sqrt(mu(start)/mu(end)) prod ||p_i||^2 <p, X p> / ||p||^2.
 
-        Independent of the loop-level formula; the two are compared in the
-        tests to pin the trace normalization.
+        Each ||p_i||^2 is sqrt(mu(s(p_i))/mu(t(p_i))), so the mu ratio
+        telescopes to prod ||p_i||^2 as well: X[p, p] has weight
+        norm_sq[p]^2.  Independent of the loop-level formula; the two are
+        compared in the tests to pin the trace normalization.
         """
-        g, pf, b = self.alg.g, self.alg.pf, self.basis
-        acc = 0.0
-        for (start, edges), i in b.index.items():
-            if len(edges) != n:
-                continue
-            end = g.tgt(edges[-1]) if edges else start
-            w = (pf.mu[start] / pf.mu[end]) ** 0.5
-            for e in edges:
-                w *= pf.norm_sq(e)
-            acc += w * X[i, i]
-        return acc / pf.delta ** n
+        b, delta = self.basis, self.alg.pf.delta
+        if not 0 <= n <= b.depth:
+            raise ValueError(f"frame depth {n} is outside 0..{b.depth}")
+        row = slice(b.offsets[n], b.offsets[n + 1])
+        return float(b.norm_sq[row] ** 2 @ X.diagonal()[row]) / delta ** n
 
     def include_operator(self, X: sp.csr_matrix, base_parity: int) -> sp.csr_matrix:
         """Fock-side tower inclusion: sum sigma(e) create(e) X ann(e) over
@@ -313,25 +283,25 @@ def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6,
     return {
         "loops_checked": count,
         "max_deviation": worst,
-        "worst_loop": None if worst_loop is None else lp_repr(alg, worst_loop),
+        "worst_loop": None if worst_loop is None else loop_label(alg.g, worst_loop),
         "pass": worst <= 1e-9,
     }
 
 
-def lp_repr(alg: LoopAlgebra, lp: Loop) -> str:
-    from .elements import loop_tokens
-    return loop_tokens(alg.g, lp) or alg.g.vertex_names[lp.base]
+def _interior(space: FockSpace, op: sp.csr_matrix, word_len: int):
+    """|op| on the interior columns: the paths that a word of `word_len`
+    letters cannot push past the truncation."""
+    cols = space.basis.interior_indices(space.basis.depth - word_len)
+    return abs(op.tocsc()[:, cols])
 
 
 def homomorphism_residual(alg: LoopAlgebra, t: int, a: Element, b: Element,
                           space: FockSpace) -> float:
     """Max entry of c_t(a) c_t(b) - c_t(a wedge_t b) on interior columns."""
-    word = 2 * (a.level + b.level)
-    cols = space.basis.interior_indices(space.basis.depth - word)
     lhs = space.c_element(a, t) @ space.c_element(b, t)
     rhs = space.c_element(alg.wedge(t, a, b), t)
-    diff = (lhs - rhs).tocsc()[:, cols]
-    return float(abs(diff).max()) if diff.nnz else 0.0
+    diff = _interior(space, lhs - rhs, 2 * (a.level + b.level))
+    return float(diff.max()) if diff.nnz else 0.0
 
 
 def commutator_diagnostics(alg: LoopAlgebra, depth: int = 8,
@@ -352,14 +322,10 @@ def commutator_diagnostics(alg: LoopAlgebra, depth: int = 8,
             })
     cup = space.cup_operator()
     cupcup = space.nested_cup_operator()
-    comm = (cup @ cupcup - cupcup @ cup).tocsc()
-    cols = space.basis.interior_indices(depth - 6)
-    sub = comm[:, cols]
-    report["commutator_interior_fro"] = float(
-        np.sqrt(abs(sub).power(2).sum())) if sub.nnz else 0.0
-    diff = (cup - cupcup).tocsc()[:, cols]
-    report["cup_minus_nested_fro"] = float(
-        np.sqrt(abs(diff).power(2).sum())) if diff.nnz else 0.0
+    for key, op in (("commutator_interior_fro", cup @ cupcup - cupcup @ cup),
+                    ("cup_minus_nested_fro", cup - cupcup)):
+        sub = _interior(space, op, 6)
+        report[key] = float(np.sqrt(sub.power(2).sum())) if sub.nnz else 0.0
     report["pk_commutation_max"] = pk_commutation_residual(
         alg, space, pk_grade)
     return report
@@ -385,8 +351,7 @@ def pk_commutation_residual(alg: LoopAlgebra, space: FockSpace,
             parity = -parity
         for u in frame_words[:8]:
             z = space.c_loop(u, k)
-            word = len(u.edges) + len(w.edges) + 2 * k
-            cols = space.basis.interior_indices(space.basis.depth - word)
-            d = (z @ included - included @ z).tocsc()[:, cols]
-            worst = max(worst, float(abs(d).max()) if d.nnz else 0.0)
+            d = _interior(space, z @ included - included @ z,
+                          len(u.edges) + len(w.edges) + 2 * k)
+            worst = max(worst, float(d.max()) if d.nnz else 0.0)
     return worst

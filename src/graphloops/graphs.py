@@ -105,7 +105,10 @@ class BipartiteGraph:
         return len(self.vertex_names)
 
     def vertex(self, name: str) -> int:
-        return self._vertex_index[name]
+        try:
+            return self._vertex_index[name]
+        except KeyError:
+            raise GraphError(f"unknown vertex {name!r}") from None
 
     def vertices_of_parity(self, parity: int) -> list[int]:
         return [v for v in range(self.n_vertices) if self.parity[v] == parity]
@@ -123,9 +126,6 @@ class BipartiteGraph:
 
     def positive_edges(self) -> list[int]:
         return [2 * i for i in range(self.n_base_edges)]
-
-    def negative_edges(self) -> list[int]:
-        return [2 * i + 1 for i in range(self.n_base_edges)]
 
     @staticmethod
     def opp(e: int) -> int:
@@ -188,9 +188,13 @@ def load_graph(spec) -> BipartiteGraph:
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
         spec = json.loads(text)
-    vertices = [(v["name"], v["parity"]) for v in spec["vertices"]]
-    edges = [(e["name"], e["from"], e["to"]) for e in spec["edges"]]
-    return BipartiteGraph.build(vertices, edges)
+    try:
+        vertices = [(v["name"], v["parity"]) for v in spec["vertices"]]
+        edges = [(e["name"], e["from"], e["to"]) for e in spec["edges"]]
+        return BipartiteGraph.build(vertices, edges)
+    except (KeyError, TypeError) as exc:
+        raise GraphError("graph JSON needs 'vertices' [{name, parity}] and "
+                         f"'edges' [{{name, from, to}}]; bad: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,11 @@ def pf_from_mu(g: BipartiteGraph, mu: dict[str, float],
     block of the graph schema).  The eigen-equation is validated to `tol`
     and the vector renormalized to min 1; delta is recovered as the Rayleigh
     ratio."""
-    vec = np.array([mu[name] for name in g.vertex_names], dtype=float)
+    try:
+        vec = np.array([mu[name] for name in g.vertex_names], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise GraphError("mu override needs a number per vertex; "
+                         f"bad: {exc}") from None
     if np.any(vec <= 0):
         raise GraphError("mu override must be strictly positive")
     a = g.adjacency()

@@ -36,12 +36,11 @@ class BlockModelSpec:
     N: int
     M: int
     seed: int = 0
-    M_v: tuple[int, ...] = field(default=())
+    M_v: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.M_v:
-            mv = tuple(max(1, round(self.M * m)) for m in self.alg.pf.mu)
-            object.__setattr__(self, "M_v", mv)
+        mv = tuple(max(1, round(self.M * m)) for m in self.alg.pf.mu)
+        object.__setattr__(self, "M_v", mv)
 
     def block_dim(self, v: int) -> int:
         return self.N * self.M_v[v]
@@ -288,11 +287,11 @@ def convergence_sweep(alg: LoopAlgebra, loops, size_grid, samples: int,
     return rows
 
 
-def trend_non_increasing(rows: list[dict], slack_sigmas: float = 3.0) -> bool:
+def trend_non_increasing(rows: list[dict]) -> bool:
     """Bias-shrinking diagnostic: the last grid point must not be worse than
-    the first beyond combined sampling noise."""
+    the first beyond three combined standard errors."""
     if len(rows) < 2:
         return True
     first, last = rows[0], rows[-1]
-    slack = slack_sigmas * (first["stderr"] + last["stderr"])
+    slack = 3.0 * (first["stderr"] + last["stderr"])
     return last["abs_err"] <= first["abs_err"] + slack

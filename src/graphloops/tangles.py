@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .graphs import EVEN, ODD
-from .elements import Element, Loop, LoopAlgebra
+from .elements import Element, Loop, LoopAlgebra, _prune
 
 _SHADING = {"+": EVEN, "-": ODD}
 _SHADING_NAME = {EVEN: "+", ODD: "-"}
@@ -296,8 +296,7 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
         if g.parity[lp.base] != prog.out_shading:
             continue
         terms[lp] = terms.get(lp, 0.0) + c
-    return Element(prog.out_level, prog.out_shading,
-                   {k: v for k, v in terms.items() if abs(v) > 1e-14})
+    return Element(prog.out_level, prog.out_shading, _prune(terms))
 
 
 def equivalence_check(alg: LoopAlgebra, prog_a: TangleProgram,

@@ -152,27 +152,15 @@ def usual_trace(alg: LoopAlgebra, x: Element) -> CenterValue:
 
 
 def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
-    """Scalar tower trace at frame depth n.
+    """Scalar tower trace at frame depth n: delta^-n times the total mass
+    of trace_k(n, x).
 
-    Per basis loop with frame (E_j | F_j) and middle W based at v_mid:
-    delta^-n sqrt(mu(base)/mu(v_mid)) prod_j [E_j = F_j] sigma(E_j)^-2
-    phi(W).  This is the weight for which the tower inclusion is
-    trace-preserving; it differs from the center-valued trace by the
-    per-loop mu ratio.
+    Per basis loop with frame (E_j | F_j) and middle W based at v_mid this
+    is delta^-n sqrt(mu(base)/mu(v_mid)) prod_j [E_j = F_j] sigma(E_j)^-2
+    phi(W), since prod_j sigma(E_j)^-1 = sqrt(mu(base)/mu(v_mid)).  This is
+    the weight for which the tower inclusion is trace-preserving.
     """
-    if n < 0:
-        raise ValueError("frame depth must be >= 0")
-    g, pf = alg.g, alg.pf
-    total = 0.0
-    for lp, c in x.terms.items():
-        edges = lp.edges
-        w = c / pf.delta ** n * alg.frame_weight(edges, n, -2)
-        if w == 0.0:
-            continue
-        v_mid = g.tgt(edges[n - 1]) if n else lp.base
-        w *= (pf.mu[lp.base] / pf.mu[v_mid]) ** 0.5
-        total += w * _phi_word(alg, edges[n: len(edges) - n])
-    return total
+    return sum(trace_k(alg, n, x).values.values()) / alg.pf.delta ** n
 
 
 # -- inner products and positivity -----------------------------------------
@@ -212,8 +200,7 @@ def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
-                   sigma=None, psd_tol: float = -1e-8,
-                   faithful_tol: float = 1e-10) -> dict:
+                   sigma=None) -> dict:
     """Per-vertex Gram spectra at level k.
 
     PASS iff every eigenvalue >= -1e-8; for connected graphs with delta > 1
@@ -227,7 +214,7 @@ def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
             continue
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         min_eig = float(eigs[0])
-        ok = min_eig >= psd_tol and (not faithful_required or min_eig > faithful_tol)
+        ok = min_eig >= -1e-8 and (not faithful_required or min_eig > 1e-10)
         report["vertices"][alg.g.vertex_names[v]] = {
             "dim": len(basis), "min_eig": min_eig, "pass": ok,
         }
@@ -240,13 +227,9 @@ def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
 
 def _scalar_tl_trace(alg: LoopAlgebra, x: Element) -> float:
     """mu-weighted average of the vertex functionals over even vertices."""
+    mu, values = alg.pf.mu, trace_k(alg, 0, x)
     vs = alg.g.vertices_of_parity(EVEN)
-    tot_mu = sum(alg.pf.mu[v] for v in vs)
-    acc = 0.0
-    for lp, c in x.terms.items():
-        if alg.g.parity[lp.base] == EVEN:
-            acc += alg.pf.mu[lp.base] * c * _phi_word(alg, lp.edges)
-    return acc / tot_mu
+    return sum(mu[v] * values[v] for v in vs) / sum(mu[v] for v in vs)
 
 
 def _numerical_rank(gram: np.ndarray, rel_tol: float = 1e-8) -> int:

@@ -44,6 +44,35 @@ def test_every_declared_layer_metric_is_emitted():
     assert not missing, missing
 
 
+FOCK_REACH = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import graphloops, graphloops.cli
+import spans
+recorder = spans.Recorder()
+recorder.install()
+code = graphloops.cli.main(["fock", "--graph", "a3", "--max-len", "4",
+                            "--depth", "6", "--out", os.devnull])
+doc = recorder.to_json()
+print(json.dumps({"code": code, "counts": doc["counts"],
+                  "hook_errors": doc["hook_errors"]}))
+"""
+
+
+def test_fock_counts_reach_the_benchmark():
+    # fock.basis_paths and fock.op_nnz come from hooks on PathBasis.__init__
+    # and the FockSpace operator builders; renaming one drops the count
+    proc = subprocess.run([sys.executable, "-c", FOCK_REACH,
+                           str(ROOT / "perfbench")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0
+    assert doc["hook_errors"] == {}
+    for key in ("fock.basis_paths", "fock.op_nnz"):
+        assert doc["counts"].get(key, 0) > 0, key
+
+
 REACH = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

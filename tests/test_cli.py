@@ -152,6 +152,54 @@ def test_out_of_range_size_is_usage_error(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+A2_VERTICES = [{"name": "v", "parity": "+"}, {"name": "w", "parity": "-"}]
+A2_EDGES = [{"name": "e", "from": "v", "to": "w"}]
+TEXT_COEFF = {"level": 1, "shading": "+",
+              "terms": [{"loop": "e1 e1'", "coeff": "x"}]}
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("graph", {"vertices": [{"name": "v"}], "edges": []}, "'parity'"),
+    ("graph", {"vertices": A2_VERTICES,
+               "edges": [{"name": "e", "from": "v"}]}, "'to'"),
+    ("graph", [1, 2], "'vertices'"),
+    ("graph", {"vertices": [{"name": [1], "parity": "+"}], "edges": []},
+     "'vertices'"),
+    ("graph", {"vertices": A2_VERTICES, "edges": A2_EDGES,
+               "mu": {"v": 1.0}}, "'w'"),
+    ("trace", {"level": 1}, "'shading'"),
+    ("trace", TEXT_COEFF, "coeff"),
+    ("trace", {"level": "1", "shading": "+", "terms": []}, "'level'"),
+    ("tangle", {"level": 1}, "'shading'"),
+    ("tangle", TEXT_COEFF, "coeff"),
+    ("vertex", None, "'q'"),
+], ids=["vertex-without-parity", "edge-without-to", "top-level-list",
+        "list-vertex-name", "mu-without-vertex", "element-without-shading",
+        "text-coeff", "text-level", "inputs-without-shading",
+        "inputs-text-coeff", "unknown-vertex"])
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, named):
+    path = tmp_path / "doc.json"
+    if command == "graph":
+        path.write_text(json.dumps(doc))
+        argv = ["graph", "--graph", str(path)]
+    elif command == "trace":
+        path.write_text(json.dumps(doc))
+        argv = ["trace", "--graph", "a3", "--element", str(path)]
+    elif command == "tangle":
+        path.write_text(json.dumps({"x": doc}))
+        prog = tmp_path / "id.tgl"
+        prog.write_text("tangle id(x: 1+) -> 1+ {\n  load x;\n}\n")
+        argv = ["tangle", "--graph", "a3", "--program", str(prog),
+                "--inputs", str(path)]
+    else:
+        argv = ["trace", "--graph", "a3", "--loop", "", "--vertex", "q"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_mc_large_blocks_run_matrix_free():
     # 400 x 400 would be 10^10 dense block entries; the sampler holds only
     # thin bases of the queried directions

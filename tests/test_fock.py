@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -27,6 +29,38 @@ def test_path_basis_counts_match_adjacency(test_algebras):
                 power = power @ a
                 expected += int(round(power.sum()))
             assert len(space.basis) == expected
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_path_trie_matches_path_by_path_reference(a2, a3, s4, depth):
+    # create, annihilate, the interior columns and the path weights read the
+    # trie arrays; rebuild each one path by path from `basis.paths`
+    for alg in (a2, a3, s4):
+        g, pf = alg.g, alg.pf
+        space = FockSpace(alg, depth)
+        paths = space.basis.paths
+        index = {p: i for i, p in enumerate(paths)}
+        n = len(paths)
+        for v in range(g.n_vertices):
+            assert paths[v] == (v, ()) and space.basis.vacuum_index(v) == v
+        for e in g.oriented_edges:
+            up, down = np.zeros((n, n)), np.zeros((n, n))
+            for i, (start, edges) in enumerate(paths):
+                head = g.src(edges[0]) if edges else start
+                if len(edges) < depth and g.tgt(e) == head:
+                    up[index[(g.src(e), (e,) + edges)], i] = 1.0
+                if edges and edges[0] == e:
+                    down[index[(g.tgt(e), edges[1:])], i] = pf.norm_sq(e)
+            assert np.array_equal(space.create(e).toarray(), up)
+            assert np.array_equal(space.annihilate(e).toarray(), down)
+        for m in (-2, 0, 1, depth, depth + 3):
+            want = [i for i, (_, es) in enumerate(paths) if len(es) <= m]
+            assert list(space.basis.interior_indices(m)) == want
+        for i, (_, edges) in enumerate(paths):
+            want = math.prod(pf.norm_sq(e) for e in edges)
+            assert space.basis.path_norm_sq(i) == pytest.approx(want, rel=1e-15)
+        with pytest.raises(ValueError):
+            space.phi_frame_operator(space.c(0), depth + 1)
 
 
 def test_annihilate_create_relation(test_algebras):
@@ -132,13 +166,12 @@ def test_vacuum_expectation_truncation_independent(a3):
 
 
 def test_phi1_of_included_operator(test_algebras):
-    rng = np.random.default_rng(33)
     for alg in test_algebras.values():
         space = FockSpace(alg, 6)
         for lp in alg.basis(1, EVEN) + alg.basis(2, EVEN):
             y = space.c_word(lp.edges)
-            got = space.phi1(space.include_operator(y, EVEN))
-            want = space.phi_weight(y)
+            got = space.phi_frame_operator(space.include_operator(y, EVEN), 1)
+            want = space.phi_frame_operator(y, 0)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
@@ -243,4 +276,4 @@ def test_pure_frame_words_commute_with_included_loops(test_algebras):
 def test_nested_cup_weight_conventions_agree(test_algebras):
     for alg in test_algebras.values():
         space = FockSpace(alg, 4)
-        space.nested_cup_operator(check_weights=True)   # raises on mismatch
+        space.nested_cup_operator()   # raises on mismatch
