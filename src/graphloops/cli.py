@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from .graphs import (EVEN, ODD, GraphError, builtin_graph, load_graph,
-                     perron_frobenius, pf_from_mu)
+from .graphs import (EVEN, ODD, GraphError, builtin_graph, load_pf,
+                     perron_frobenius)
 from .elements import LoopAlgebra, loop_from_tokens, loop_label
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .ncpairings import free_poisson_moments
@@ -29,7 +29,8 @@ from .traces import free_structure_report, trace_k
 
 
 def _load_alg(name_or_path: str, tol: float) -> LoopAlgebra:
-    """A builtin graph by name, else a JSON graph given inline or as a file.
+    """A builtin graph by name, else a graph document given inline or as a
+    file, with its optional `mu` block (`graphs.load_pf`).
 
     Text that is neither a builtin name, inline JSON nor an existing file
     reports `builtin_graph`'s error for the name.
@@ -37,17 +38,13 @@ def _load_alg(name_or_path: str, tol: float) -> LoopAlgebra:
     try:
         g = builtin_graph(name_or_path)
     except GraphError:
-        text = name_or_path
-        if not text.lstrip().startswith("{"):
-            if not os.path.isfile(text):
-                raise
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        doc = json.loads(text)
-        g = load_graph(doc)
-        if "mu" in doc:
-            return LoopAlgebra(g, pf_from_mu(g, doc["mu"], max(tol, 1e-9)))
-    return LoopAlgebra(g, perron_frobenius(g, min(tol, 1e-12)))
+        if not (name_or_path.lstrip().startswith("{")
+                or os.path.isfile(name_or_path)):
+            raise
+        pf = load_pf(name_or_path, tol)
+    else:
+        pf = perron_frobenius(g, min(tol, 1e-12))
+    return LoopAlgebra(pf.graph, pf)
 
 
 def _int_at_least(low: int):

@@ -14,7 +14,8 @@ operator model in tests):
   each coded once on `LoopAlgebra`:
   - `frame_weight(edges, k, power)` closes a frame of k strings: it is 0
     unless the last k edges mirror the first k, else prod_j sigma(e_j)^power
-    over the first k edges (the sigma powers are tabled in the README);
+    over the first k edges (the sigma powers are tabled in the README;
+    `traces.trace_k` applies the same rule to a whole word array);
   - `_turn(x, steps, curved)` moves every basepoint forward by `steps`
     edges, with weight mu(old base)/mu(new base) when curved.
 * wedge(t, a, b) is nonzero on a loop pair iff the last t edges of a, read
@@ -129,7 +130,6 @@ class LoopAlgebra:
             raise ValueError("PF data belongs to a different graph")
         self.g = g
         self.pf = pf
-        self._phi_memo: dict[tuple[int, ...], float] = {}
 
     # -- element constructors -------------------------------------------
 

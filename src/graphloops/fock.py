@@ -18,7 +18,8 @@ the loop algebra.
 
 A vacuum expectation <v, c(e_1)...c(e_n) v> needs no word operator: the
 cached c(e) matrices are applied right to left to the vacuum vector of v,
-one sparse matrix-vector product per letter (`apply_word`).
+one sparse matrix-vector product per letter (`apply_word`); the oracle
+shares the products of a common suffix across loops (`_vacuum_values`).
 
 scipy.sparse is imported inside the methods that build operators, so
 importing the package does not pay for it.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .graphs import EVEN, ODD
 from .elements import Element, Loop, LoopAlgebra, loop_label
-from .traces import _phi_word
+from .traces import _phi_words, _sigma_table, _word_array
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -255,8 +256,9 @@ def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6,
     """Worst |vacuum(c(w)) - pairing(w)| over all loops of length <= max_len.
 
     Each vacuum expectation is read from the chain c(w) applied to the
-    vacuum vector (`FockSpace.apply_word`), which uses only the
-    create/annihilate matrices, never the pairing formula.
+    vacuum vector, suffixes shared (`_vacuum_values`), which uses only the
+    create/annihilate matrices, never the pairing formula.  The pairing
+    side is one `_phi_words` call per (level, shading).
 
     `sigma` overrides the pairing-side edge weights only; injecting a wrong
     weight there is the harness-sanity fault test (the identity itself holds
@@ -266,26 +268,50 @@ def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6,
     if depth < max_len:
         raise ValueError("depth must cover the longest word")
     space = FockSpace(alg, depth)
-    worst, worst_loop = 0.0, None
-    count = 0
+    sig = _sigma_table(alg, sigma)
+    loops, want = [], []
     for level in range(0, max_len // 2 + 1):
         for shading in (EVEN, ODD):
-            for lp in alg.basis(level, shading):
-                i = space.basis.vacuum_index(lp.base)
-                vacuum = np.zeros(len(space.basis))
-                vacuum[i] = 1.0
-                got = float(space.apply_word(lp.edges, vacuum)[i])
-                want = _phi_word(alg, lp.edges, sigma)
-                dev = abs(got - want)
-                count += 1
-                if dev > worst:
-                    worst, worst_loop = dev, lp
+            basis = alg.basis(level, shading)
+            loops += basis
+            want.append(_phi_words(_word_array(basis, 2 * level), sig))
+    dev = np.abs(_vacuum_values(space, loops) - np.concatenate(want))
+    worst = float(dev.max())
+    worst_loop = loops[int(dev.argmax())] if worst > 0.0 else None
     return {
-        "loops_checked": count,
+        "loops_checked": len(loops),
         "max_deviation": worst,
         "worst_loop": None if worst_loop is None else loop_label(alg.g, worst_loop),
         "pass": worst <= 1e-9,
     }
+
+
+def _vacuum_values(space: FockSpace, loops: list[Loop]) -> np.ndarray:
+    """<base, c(w) base> of every loop, from create/annihilate alone.
+
+    The letters act right to left, so loops sharing a suffix share the
+    vectors it produces: the walk visits the reversed words of each base
+    in sorted order (a trie in depth-first order) and keeps one vector per
+    depth, applying only the letters past the common prefix.
+    """
+    got = np.empty(len(loops))
+    order = sorted(range(len(loops)),
+                   key=lambda i: (loops[i].base, loops[i].edges[::-1]))
+    base, word, stack = None, (), []
+    for i in order:
+        rev = loops[i].edges[::-1]
+        if loops[i].base != base:
+            base, word = loops[i].base, ()
+            stack = [np.zeros(len(space.basis))]
+            stack[0][space.basis.vacuum_index(base)] = 1.0
+        common = next((j for j, (a, b) in enumerate(zip(word, rev)) if a != b),
+                      min(len(word), len(rev)))
+        del stack[common + 1:]
+        for e in rev[common:]:
+            stack.append(space.c(e) @ stack[-1])
+        got[i] = stack[-1][space.basis.vacuum_index(base)]
+        word = rev
+    return got
 
 
 def _interior(space: FockSpace, op: sp.csr_matrix, word_len: int):

@@ -34,6 +34,28 @@ class BipartiteGraph:
     edge_source: tuple[int, ...]            # even endpoint of each base edge
     edge_target: tuple[int, ...]            # odd endpoint of each base edge
     _vertex_index: dict[str, int] = field(repr=False, default_factory=dict)
+    # per oriented edge: source and target; per vertex: edges out and in
+    _src: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tgt: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                              compare=False)
+    _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        src, tgt = [], []
+        for u, v in zip(self.edge_source, self.edge_target):
+            src += (u, v)
+            tgt += (v, u)
+        out = [[] for _ in self.vertex_names]
+        into = [[] for _ in self.vertex_names]
+        for e, (u, v) in enumerate(zip(src, tgt)):
+            out[u].append(e)
+            into[v].append(e)
+        object.__setattr__(self, "_src", tuple(src))
+        object.__setattr__(self, "_tgt", tuple(tgt))
+        object.__setattr__(self, "_out", tuple(map(tuple, out)))
+        object.__setattr__(self, "_in", tuple(map(tuple, into)))
 
     # -- construction ------------------------------------------------
 
@@ -132,18 +154,16 @@ class BipartiteGraph:
         return e ^ 1
 
     def src(self, e: int) -> int:
-        i, rev = divmod(e, 2)
-        return self.edge_target[i] if rev else self.edge_source[i]
+        return self._src[e]
 
     def tgt(self, e: int) -> int:
-        i, rev = divmod(e, 2)
-        return self.edge_source[i] if rev else self.edge_target[i]
+        return self._tgt[e]
 
-    def edges_from(self, v: int) -> list[int]:
-        return [e for e in self.oriented_edges if self.src(e) == v]
+    def edges_from(self, v: int) -> tuple[int, ...]:
+        return self._out[v]
 
-    def edges_into(self, v: int) -> list[int]:
-        return [e for e in self.oriented_edges if self.tgt(e) == v]
+    def edges_into(self, v: int) -> tuple[int, ...]:
+        return self._in[v]
 
     def oriented_name(self, e: int) -> str:
         i, rev = divmod(e, 2)
@@ -180,21 +200,45 @@ class BipartiteGraph:
         }
 
 
-def load_graph(spec) -> BipartiteGraph:
-    """Load a graph from a JSON document (dict, JSON string, or file path)."""
+def _graph_document(spec):
+    """A graph document given as a dict, as inline JSON or as a file path."""
     if isinstance(spec, str):
         text = spec
         if not spec.lstrip().startswith("{"):
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
         spec = json.loads(text)
+    return spec
+
+
+def load_graph(spec) -> BipartiteGraph:
+    """Load a graph from a JSON document (dict, JSON string, or file path).
+
+    The graph alone: the document's optional `mu` block is PF data, which
+    `load_pf` reads from the same document.
+    """
+    doc = _graph_document(spec)
     try:
-        vertices = [(v["name"], v["parity"]) for v in spec["vertices"]]
-        edges = [(e["name"], e["from"], e["to"]) for e in spec["edges"]]
+        vertices = [(v["name"], v["parity"]) for v in doc["vertices"]]
+        edges = [(e["name"], e["from"], e["to"]) for e in doc["edges"]]
         return BipartiteGraph.build(vertices, edges)
     except (KeyError, TypeError) as exc:
         raise GraphError("graph JSON needs 'vertices' [{name, parity}] and "
                          f"'edges' [{{name, from, to}}]; bad: {exc}") from None
+
+
+def load_pf(spec, tol: float = 1e-9) -> "PFData":
+    """PF data of a graph document (dict, JSON string, or file path).
+
+    An optional `mu` block is the eigenvector, checked by `pf_from_mu` to
+    max(tol, 1e-9); without one, `perron_frobenius` solves to min(tol,
+    1e-12).  A malformed block raises GraphError.
+    """
+    doc = _graph_document(spec)
+    g = load_graph(doc)
+    if "mu" in doc:
+        return pf_from_mu(g, doc["mu"], max(tol, 1e-9))
+    return perron_frobenius(g, min(tol, 1e-12))
 
 
 @dataclass(frozen=True)
@@ -209,10 +253,17 @@ class PFData:
     delta: float
     mu: tuple[float, ...]
     tol: float
+    # sigma per oriented edge, sqrt(mu(target)/mu(source))
+    sigmas: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g, mu = self.graph, self.mu
+        object.__setattr__(self, "sigmas", tuple(
+            (mu[t] / mu[s]) ** 0.5 for s, t in zip(g._src, g._tgt)))
 
     def sigma(self, e: int) -> float:
         """Edge weight sqrt(mu(target)/mu(source)) of an oriented edge."""
-        return (self.mu[self.graph.tgt(e)] / self.mu[self.graph.src(e)]) ** 0.5
+        return self.sigmas[e]
 
     def norm_sq(self, e: int) -> float:
         """Squared Fock length of an edge vector, the inverse of sigma."""

@@ -17,7 +17,10 @@ At k = 0 it is the pairing formula for the vertex functionals, equivalently
 the recursion
 
     phi_v(x) = sum over splittings x = e x1 e-opp x2 of
-               sigma(e) phi(x1) phi(x2),       phi(empty) = 1.
+               sigma(e) phi(x1) phi(x2),       phi(empty) = 1,
+
+which one kernel, `_phi_words`, evaluates bottom-up over the intervals of
+an integer word array, vectorized over its rows; no value is cached.
 
 The scalar tower weight `phi_frame` is delta^-k times the total mass of the
 grade-k trace; unlike the vertex-resolved trace it is preserved (not
@@ -27,6 +30,8 @@ scaled) by the tower inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,36 +66,67 @@ class CenterValue:
 # -- vertex functionals -----------------------------------------------------
 
 
-def _phi_word(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
-    """phi of a closed word at its own starting vertex, by the recursion.
+_CHUNK = 4096      # rows per pass of the phi kernel; bounds its scratch
 
-    Memoized on the algebra when using its own PF weights; an overridden
-    sigma (fault injection in tests) gets a private cache.
+
+def _phi_words(words: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """phi of every row of an n x 2m integer word array, each row read at
+    its own starting vertex, with edge weights `sigma[e]`.
+
+    The splitting recursion as an interval table, bottom-up in the
+    half-length h and vectorized over rows: G[h][i] = phi(w[i : i + 2h]) is
+
+        sigma(w_i) sum_d [w_{i+2d+1} = opp(w_i)] G[d][i+1] G[h-1-d][i+2d+2],
+
+    summed over increasing d, the order of the recursion.  The matched
+    left factor P[d][i] = [w_{i+2d+1} = opp(w_i)] G[d][i+1] is formed once
+    per d.  Rows go through `_CHUNK` at a time.
     """
+    n, length = words.shape
+    out = np.ones(n)
+    if length == 0:
+        return out
+    for lo in range(0, n, _CHUNK):
+        w = np.ascontiguousarray(words[lo:lo + _CHUNK].T)   # letters x rows
+        sig, opp = sigma[w], w ^ 1
+        scratch = np.empty(w.shape)
+        table = [np.ones((length + 1, w.shape[1]))]
+        left = []
+        for h in range(1, length // 2 + 1):
+            q = 2 * h - 1                     # the new offset, d = h - 1
+            left.append((w[q:] == opp[:length - q])
+                        * table[h - 1][1:length - q + 1])
+            i = length - 2 * h + 1            # starts of a length-2h interval
+            acc = left[0][:i] * table[h - 1][2:i + 2]
+            for d in range(1, h):
+                np.multiply(left[d][:i], table[h - 1 - d][2 * d + 2:2 * d + 2 + i],
+                            out=scratch[:i])
+                acc += scratch[:i]
+            acc *= sig[:i]
+            table.append(acc)
+        out[lo:lo + w.shape[1]] = table[-1][0]
+    return out
+
+
+def _sigma_table(alg: LoopAlgebra, sigma=None) -> np.ndarray:
+    """sigma per oriented edge: the PF weights, or an override (fault
+    injection in tests) evaluated on every edge."""
     if sigma is None:
-        sigma = alg.pf.sigma
-        memo = alg._phi_memo
-    else:
-        memo = {}
+        return np.array(alg.pf.sigmas)
+    return np.array([sigma(e) for e in alg.g.oriented_edges], dtype=float)
 
-    opp = alg.g.opp
 
-    def rec(word: tuple[int, ...]) -> float:
-        if not word:
-            return 1.0
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        e, partner = word[0], opp(word[0])
-        total = 0.0
-        for q in range(1, len(word), 2):
-            if word[q] == partner:
-                total += rec(word[1:q]) * rec(word[q + 1:])
-        total *= sigma(e)
-        memo[word] = total
-        return total
+def _word_array(loops, length: int) -> np.ndarray:
+    """The edges of equal-length loops as an n x length integer array."""
+    flat = np.fromiter(chain.from_iterable(map(itemgetter(1), loops)),
+                       dtype=np.int32, count=len(loops) * length)
+    return flat.reshape(len(loops), length)
 
-    return rec(edges)
+
+def _phi_word(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
+    """phi of one closed word at its own starting vertex."""
+    words = np.array(edges, dtype=np.intp).reshape(1, len(edges))
+    return float(_phi_words(words, _sigma_table(alg, sigma))[0])
 
 
 def _phi_word_pairing(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
@@ -111,33 +147,69 @@ def _phi_word_pairing(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> f
 
 def phi_vertex(alg: LoopAlgebra, x: Element, v: int | str,
                method: str = "recursive") -> float:
-    """Vertex functional phi_v(x); loops not based at v contribute 0."""
+    """Vertex functional phi_v(x); loops not based at v contribute 0.
+
+    "recursive" is the interval recursion (`trace_k` at grade 0),
+    "pairing" the explicit sum over non-crossing pairings.
+    """
     v = v if isinstance(v, int) else alg.g.vertex(v)
     if alg.g.parity[v] != x.shading:
         raise ValueError("vertex parity does not match the element shading")
-    fn = {"recursive": _phi_word, "pairing": _phi_word_pairing}[method]
-    return sum(c * fn(alg, lp.edges) for lp, c in x.terms.items() if lp.base == v)
+    if method == "recursive":
+        return trace_k(alg, 0, x)[v]
+    if method != "pairing":
+        raise ValueError(f"unknown phi method {method!r}")
+    return sum(c * _phi_word_pairing(alg, lp.edges)
+               for lp, c in x.terms.items() if lp.base == v)
 
 
 def trace_k(alg: LoopAlgebra, k: int, x: Element) -> CenterValue:
-    """Grade-k trace: close the k-edge frame, pair out the middle word."""
+    """Grade-k trace: close the k-edge frame, pair out the middle word.
+
+    One pass over the element's word array: the frame test and its
+    sigma^-3 weights per row, the middle words through `_phi_words`, and a
+    per-vertex sum at the output vertex (the middle vertex, tgt of the k-th
+    edge) in term order.
+    """
     if k < 0:
         raise ValueError("trace grade must be >= 0")
     if x.level < k:
         raise ValueError("element level below trace grade")
     g = alg.g
-    values: dict[int, float] = {}
     out_shading = x.shading if k % 2 == 0 else -x.shading
-    for lp, c in x.terms.items():
-        edges = lp.edges
-        # no call at k = 0, the hot case of every moment and vertex functional
-        w = c * alg.frame_weight(edges, k, -3) if k else c
-        if w == 0.0:
-            continue
-        v_out = g.tgt(edges[k - 1]) if k else lp.base
-        w *= _phi_word(alg, edges[k: len(edges) - k])
-        values[v_out] = values.get(v_out, 0.0) + w
-    return CenterValue(out_shading, {v: x for v, x in values.items() if x != 0.0})
+    if not x.terms:
+        return CenterValue(out_shading, {})
+    length = 2 * x.level
+    words = _word_array(x.terms, length)
+    w = np.array(list(x.terms.values()))
+    if k:
+        # frame_weight(edges, k, -3) per row: 0 unless the frame mirrors
+        cube = np.array([s ** -3 for s in alg.pf.sigmas])
+        frame, broken = np.ones(len(w)), np.zeros(len(w), dtype=bool)
+        for j in range(k):
+            broken |= words[:, length - 1 - j] != words[:, j] ^ 1
+            frame *= cube[words[:, j]]
+        frame[broken] = 0.0
+        w = w * frame
+    keep = np.flatnonzero(w != 0)
+    if k:
+        tgt = np.array([g.tgt(e) for e in g.oriented_edges])
+        v_out = tgt[words[keep, k - 1]]
+    else:
+        v_out = np.fromiter(map(itemgetter(0), x.terms), dtype=np.intp,
+                            count=len(w))[keep]
+    middle = words[:, k:length - k]
+    if len(keep) < len(w):        # a full fancy index would copy every row
+        middle, w = middle[keep], w[keep]
+    w = w * _phi_words(middle, _sigma_table(alg))
+    sums = np.bincount(v_out, w.real, g.n_vertices).astype(w.dtype)
+    if np.iscomplexobj(w):
+        sums.imag = np.bincount(v_out, w.imag, g.n_vertices)
+    # vertices in order of first appearance, as a running dict sum keeps them
+    _, first = np.unique(v_out, return_index=True)
+    order = v_out[np.sort(first)].tolist()
+    return CenterValue(out_shading, {v: val for v, val in
+                                     zip(order, sums[order].tolist()) if val != 0.0})
 
 
 def usual_trace(alg: LoopAlgebra, x: Element) -> CenterValue:
@@ -190,13 +262,11 @@ def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
     G[x, y] = mu(v) phi_v(dagger(x) wedge_0 y)."""
     basis = [Loop(v, es) for es in loops_at(alg.g, v, k)]
     n = len(basis)
-    mat = np.zeros((n, n))
-    mu_v = alg.pf.mu[v]
-    for i, x in enumerate(basis):
-        rev = alg.mirror(x.edges)
-        for j, y in enumerate(basis):
-            mat[i, j] = mu_v * _phi_word(alg, rev + y.edges, sigma)
-    return basis, mat
+    words = _word_array(basis, 2 * k)
+    pairs = np.concatenate([np.repeat(words[:, ::-1] ^ 1, n, axis=0),
+                            np.tile(words, (n, 1))], axis=1)
+    mat = alg.pf.mu[v] * _phi_words(pairs, _sigma_table(alg, sigma))
+    return basis, mat.reshape(n, n)
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,

@@ -200,6 +200,28 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, named):
     assert "Traceback" not in err
 
 
+def test_mu_block_is_read_inline_and_from_a_file(tmp_path, capsys):
+    # an eigenvector off the PF solve's by 6e-10, inside the 1e-9 check:
+    # the reported delta is the override's Rayleigh ratio, not the solve's
+    from graphloops import builtin_graph, perron_frobenius, pf_from_mu
+    from graphloops.reports import render_number
+    g = builtin_graph("a3")
+    doc = g.to_json_dict()
+    doc["mu"] = {"m": 2 ** 0.5 + 6e-10, "l": 1.0, "r": 1.0}
+    text = json.dumps(doc)
+    path = tmp_path / "a3_mu.json"
+    path.write_text(text)
+    reports = []
+    for spec in (text, str(path)):
+        code, out = run_cli(capsys, "graph", "--graph", spec)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["rows"] == reports[1]["rows"]
+    delta = next(r for r in reports[0]["rows"] if r["name"] == "delta")
+    assert delta["value"] == render_number(pf_from_mu(g, doc["mu"]).delta)
+    assert delta["value"] != render_number(perron_frobenius(g).delta)
+
+
 def test_mc_large_blocks_run_matrix_free():
     # 400 x 400 would be 10^10 dense block entries; the sampler holds only
     # thin bases of the queried directions

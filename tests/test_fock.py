@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphloops import EVEN, ODD, loop_from_tokens
-from graphloops.fock import (FockSpace, commutator_diagnostics,
+from graphloops.fock import (FockSpace, _vacuum_values, commutator_diagnostics,
                              homomorphism_residual, oracle_check_trace)
 from graphloops.ncpairings import free_poisson_moments
 from graphloops.tangles import random_element
@@ -119,6 +119,19 @@ def test_vector_chain_matches_word_operator(a3, s4):
                         space.c_word(lp.edges), lp.base, len(lp.edges))
                     assert abs(chain - word) <= 1e-12 * max(abs(chain),
                                                             abs(word)), lp
+
+
+def test_suffix_walk_matches_letter_by_letter_chains(test_algebras):
+    # the oracle's shared-suffix walk reads the same vectors apply_word does
+    for alg in test_algebras.values():
+        space = FockSpace(alg, 6)
+        loops = [lp for level in range(4) for shading in (EVEN, ODD)
+                 for lp in alg.basis(level, shading)]
+        got = _vacuum_values(space, loops)
+        for lp, value in zip(loops, got):
+            vacuum = np.zeros(len(space.basis))
+            vacuum[lp.base] = 1.0
+            assert value == space.apply_word(lp.edges, vacuum)[lp.base], lp
 
 
 def test_vacuum_trace_oracle_fault_injection(a3):

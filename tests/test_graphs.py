@@ -132,3 +132,22 @@ def test_mu_override():
         pf_from_mu(g, {"m": 2.0, "l": 1.0, "r": 1.0})
     with pytest.raises(GraphError):
         pf_from_mu(g, {"m": -1.0, "l": 1.0, "r": 1.0})
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "s4", "a4", "a7", "a200"])
+def test_edge_tables_match_their_definitions(name):
+    g = builtin_graph(name)
+    pf = perron_frobenius(g)
+    for e in g.oriented_edges:
+        i, rev = divmod(e, 2)
+        s, t = g.edge_source[i], g.edge_target[i]
+        s, t = (t, s) if rev else (s, t)
+        assert (g.src(e), g.tgt(e)) == (s, t)
+        assert pf.sigma(e) == (pf.mu[t] / pf.mu[s]) ** 0.5
+        assert pf.sigma(e) == pytest.approx(math.sqrt(pf.mu[t] / pf.mu[s]),
+                                            rel=1e-15)
+    for v in range(g.n_vertices):
+        assert g.edges_from(v) == tuple(e for e in g.oriented_edges
+                                        if g.src(e) == v)
+        assert g.edges_into(v) == tuple(e for e in g.oriented_edges
+                                        if g.tgt(e) == v)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from graphloops import (EVEN, ODD, BipartiteGraph, LoopAlgebra, loops_at,
                         perron_frobenius)
 from graphloops.tangles import random_element
-from graphloops.traces import phi_vertex, trace_k
+from graphloops.traces import (_phi_word_pairing, _phi_words, _sigma_table,
+                               _word_array, phi_vertex, trace_k)
 
 
 @st.composite
@@ -110,3 +111,18 @@ def test_markov_on_random_graphs(g, seed):
         .scale(alg.pf.delta)
     rhs = trace_k(alg, k - 1, y)
     assert (lhs - rhs).norm_inf() <= 1e-9 * max(1.0, rhs.norm_inf())
+
+
+@given(bipartite_graphs())
+@settings(max_examples=20, deadline=None)
+def test_phi_kernel_matches_pairing_sum(g):
+    # every loop of length <= 6, one kernel call per (level, shading)
+    alg = LoopAlgebra(g, perron_frobenius(g))
+    sig = _sigma_table(alg)
+    for level in range(4):
+        for shading in (EVEN, ODD):
+            basis = alg.basis(level, shading)
+            got = _phi_words(_word_array(basis, 2 * level), sig)
+            for lp, value in zip(basis, got):
+                want = _phi_word_pairing(alg, lp.edges)
+                assert abs(value - want) <= 1e-12 * abs(want), lp
