@@ -1,42 +1,50 @@
-"""Sparse loop sums and the graded products, involution, rotation and tower
-maps of the planar algebra of a bipartite graph.
+"""Loop sums and the graded products, involution, rotation and tower maps
+of the planar algebra of a bipartite graph.
 
-Representation conventions (fixed once here, validated against the Fock
-operator model in tests):
+An element is three arrays: `base` int32[n], `words` int32[n, 2 level]
+(oriented edge ids) and `coeff` float or complex [n].  `_merge` builds every
+element: equal rows are summed in input order, sums with |c| <= PRUNE_TOL
+are dropped and rows keep the order of their first appearance.  That is the
+order and arithmetic of a running dict sum, so every coefficient equals the
+one a dict of loops would hold, bit for bit.  `Element.terms` is a
+read-only {Loop: coeff} view for I/O and the oracle routes.
 
-* A Loop stores its edges in *tower* coordinates: the stored sequence is the
-  loop as fed to the operator representation, i.e. for an element used at
+Conventions (fixed once here, validated against the Fock operator model in
+tests):
+
+* A loop stores its edges in *tower* coordinates: for an element used at
   grade t the first t edges and the (reversed, opposite) last t edges form
-  the ladder frame and the rest is the middle word.  The planar-coordinate
-  loop is the same sequence with the basepoint shifted forward by t edges;
-  `shift_base` converts.
-* Every product, trace and tower map is built from two moves on a loop,
-  each coded once on `LoopAlgebra`:
-  - `frame_weight(edges, k, power)` closes a frame of k strings: it is 0
-    unless the last k edges mirror the first k, else prod_j sigma(e_j)^power
-    over the first k edges (the sigma powers are tabled in the README;
-    `traces.trace_k` applies the same rule to a whole word array);
-  - `_turn(x, steps, curved)` moves every basepoint forward by `steps`
-    edges, with weight mu(old base)/mu(new base) when curved.
-* wedge(t, a, b) is nonzero on a loop pair iff the last t edges of a, read
-  backwards with orientations flipped (`mirror`), equal the first t edges
-  of b.  Each matched edge b_j contributes 1/sigma(b_j), the squared Fock
-  length of b_j.  At t = 0 the loops must share their base vertex and the
-  product is concatenation.
-* The dagger involution mirrors the stored sequence (the same rule at
-  every grade in these coordinates).
-* One-degree rotation is the curved turn by two edges: it sends
-  u_1 u_2 ... u_{2m} to u_3 ... u_{2m} u_1 u_2 with factor
-  mu(base)/mu(t(u_2)).
+  the ladder frame and the rest is the middle word.  The planar loop is the
+  same sequence with the basepoint shifted forward by t edges (`shift_base`).
+* Operations are array moves over per-edge tables (source, target, powers
+  of sigma) and -1 padded per-vertex edge tables.  `_frame(words, k, table)`
+  closes a frame of k strings on every row: 0 unless the last k letters
+  mirror the first k, else the product of table[e] over the first k (sigma^-3
+  for `expect_step` and `traces.trace_k`, sigma for `traces.usual_trace`).
+  `_turn` rolls every word forward by `steps` letters, with weight
+  mu(old base)/mu(new base) when curved.
+* wedge(t, a, b) pairs the rows where the last t letters of a, reversed and
+  flipped, equal the first t letters of b.  Each matched letter b_j
+  contributes 1/sigma(b_j), its squared Fock length.  At t = 0 the loops
+  must share their base vertex and the product is concatenation.
+* The dagger reverses every word and flips each letter (e ^ 1), at every
+  grade.  One-degree rotation is the curved turn by two edges: it sends
+  u_1 u_2 ... u_{2m} to u_3 ... u_{2m} u_1 u_2 with factor mu(base)/mu(t(u_2)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+import sys
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
+
+import numpy as np
 
 from .graphs import BipartiteGraph, EVEN, ODD, PFData, loops_at
-from .ncpairings import noncrossing_pairings
+from .ncpairings import is_noncrossing, noncrossing_pairings
 
 PRUNE_TOL = 1e-14
 
@@ -51,48 +59,97 @@ class Loop(NamedTuple):
         return len(self.edges) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Element:
-    """Finite scalar-weighted sum of loops at a fixed level and shading."""
+    """Finite scalar-weighted sum of loops at a fixed level and shading:
+    row i is the loop (base[i], words[i]) with coefficient coeff[i]."""
 
     level: int
     shading: int                      # EVEN (+) or ODD (-) base parity
-    terms: dict[Loop, float] = field(default_factory=dict)
+    base: np.ndarray                  # int32[n]
+    words: np.ndarray                 # int32[n, 2 * level]
+    coeff: np.ndarray                 # float or complex [n]
 
-    def __post_init__(self):
-        for lp in self.terms:
-            if len(lp.edges) != 2 * self.level:
-                raise ValueError("loop length does not match element level")
+    @cached_property
+    def terms(self) -> Mapping[Loop, float]:
+        """The rows as a read-only {Loop: coeff} mapping, in row order."""
+        loops = map(Loop, self.base.tolist(), map(tuple, self.words.tolist()))
+        return MappingProxyType(dict(zip(loops, self.coeff.tolist())))
 
     # -- linear structure ---------------------------------------------
 
     def __add__(self, other: "Element") -> "Element":
         if (self.level, self.shading) != (other.level, other.shading):
             raise ValueError("can only add elements of equal level and shading")
-        terms = dict(self.terms)
-        for lp, c in other.terms.items():
-            terms[lp] = terms.get(lp, 0.0) + c
-        return Element(self.level, self.shading, _prune(terms))
+        return _merge(self.level, self.shading,
+                      np.concatenate((self.base, other.base)),
+                      np.concatenate((self.words, other.words)),
+                      np.concatenate((self.coeff, other.coeff)))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "Element":
-        return Element(self.level, self.shading,
-                       _prune({lp: c * v for lp, v in self.terms.items()}))
+        return _merge(self.level, self.shading, self.base, self.words,
+                      c * self.coeff)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def norm_inf(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm_inf() <= tol
+        return float(np.abs(self.coeff).max(initial=0.0))
 
 
-def _prune(terms: dict[Loop, float]) -> dict[Loop, float]:
-    return {lp: c for lp, c in terms.items() if abs(c) > PRUNE_TOL}
+def _row_keys(base: np.ndarray, words: np.ndarray):
+    """The rows (base, words) as one int32 array and a byte key per row."""
+    rows = np.empty((len(base), 1 + words.shape[1]), dtype=np.int32)
+    rows[:, 0], rows[:, 1:] = base, words
+    return rows, rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+def _merge(level: int, shading: int, base, words, coeff) -> Element:
+    """The element of the rows (base[i], words[i], coeff[i]): equal rows
+    summed in input order, |sum| <= PRUNE_TOL dropped, rows in order of
+    first appearance."""
+    rows, key = _row_keys(base, words)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = rank[group]
+    total = np.bincount(group, coeff.real, len(order)).astype(coeff.dtype)
+    if np.iscomplexobj(coeff):
+        total.imag = np.bincount(group, coeff.imag, len(order))
+    keep = np.abs(total) > PRUNE_TOL
+    rows, total = rows[first[order][keep]], total[keep]
+    rows.flags.writeable = total.flags.writeable = False     # terms is cached
+    return Element(level, shading, rows[:, 0], rows[:, 1:], total)
+
+
+def _frame(words: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
+    """Close a frame of k strings on every row: 0 where the last k letters
+    do not mirror the first k, else the product of table[e] over the first
+    k letters, in letter order."""
+    w = np.ones(len(words))
+    for j in range(k):
+        w *= table[words[:, j]]
+        w[words[:, words.shape[1] - 1 - j] != words[:, j] ^ 1] = 0.0
+    return w
+
+
+def _expand(table: np.ndarray, at: np.ndarray):
+    """(row, edge) for every edge in each row's entry of a -1 padded
+    per-vertex edge table, rows in order and edges in id order."""
+    cand = table[at]
+    r, j = np.nonzero(cand >= 0)
+    return r, cand[r, j]
+
+
+def _padded(lists) -> np.ndarray:
+    """Per-vertex edge lists as one table, -1 past the end of each list."""
+    width = max(map(len, lists), default=0)
+    return np.array([es + (-1,) * (width - len(es)) for es in lists],
+                    dtype=np.intp).reshape(len(lists), width)
 
 
 def loop_from_tokens(g: BipartiteGraph, text: str, base: str | int | None = None) -> Loop:
@@ -130,48 +187,64 @@ class LoopAlgebra:
             raise ValueError("PF data belongs to a different graph")
         self.g = g
         self.pf = pf
+        self._src = np.array(g._src, dtype=np.intp)
+        self._tgt = np.array(g._tgt, dtype=np.intp)
+        self._mu = np.array(pf.mu)
+        self._sigma = {p: np.array([s ** p for s in pf.sigmas])
+                       for p in (1, -1, -3)}
+        self._out, self._in = _padded(g._out), _padded(g._in)
 
     # -- element constructors -------------------------------------------
 
-    def element(self, terms: dict[Loop, float] | Iterable[tuple[Loop, float]],
+    def element(self, terms: Mapping[Loop, float] | Iterable[tuple[Loop, float]],
                 level: int | None = None, shading: int | None = None) -> Element:
-        terms = dict(terms)
-        if terms:
-            some = next(iter(terms))
+        """The sum of (loop, coeff) pairs; a repeated loop's coefficients add."""
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        if items:
+            some = items[0][0]
             level = some.level if level is None else level
             shading = self.g.parity[some.base] if shading is None else shading
         if level is None or shading is None:
             raise ValueError("level and shading required for a zero element")
-        for lp in terms:
-            self._check_loop(lp)
-            if self.g.parity[lp.base] != shading:
-                raise ValueError("loop base parity does not match shading")
-        return Element(level, shading, _prune(terms))
+        if any(len(lp.edges) != 2 * level for lp, _ in items):
+            raise ValueError("loop length does not match element level")
+        base = np.array([lp.base for lp, _ in items], dtype=np.intp)
+        words = np.array([lp.edges for lp, _ in items],
+                         dtype=np.intp).reshape(len(items), 2 * level)
+        coeff = np.array([c for _, c in items])
+        coeff = coeff if coeff.dtype.kind == "c" else coeff.astype(float)
+        path = np.column_stack((base, self._tgt[words]))
+        if np.any(self._src[words] != path[:, :-1]) or np.any(path[:, -1] != base):
+            raise ValueError("loop edges do not compose into a closed loop")
+        if np.any(np.array(self.g.parity)[base] != shading):
+            raise ValueError("loop base parity does not match shading")
+        return _merge(level, shading, base, words, coeff)
 
     def zero(self, level: int, shading: int) -> Element:
-        return Element(level, shading, {})
+        return self.element((), level, shading)
 
     def vertex_element(self, v: int | str) -> Element:
         v = v if isinstance(v, int) else self.g.vertex(v)
-        return Element(0, self.g.parity[v], {Loop(v, ()): 1.0})
+        return self.element({Loop(v, ()): 1.0})
 
     def single_loop(self, lp: Loop, coeff: float = 1.0) -> Element:
-        self._check_loop(lp)
-        return Element(lp.level, self.g.parity[lp.base], {lp: coeff})
+        return self.element({lp: coeff})
 
     def from_json_dict(self, doc: dict) -> Element:
         try:
             level, shading, rows = doc["level"], doc["shading"], doc["terms"]
-            terms = {}
-            for row in rows:
-                lp = loop_from_tokens(self.g, row["loop"], row.get("base"))
-                terms[lp] = terms.get(lp, 0.0) + row["coeff"]
+            terms = [(loop_from_tokens(self.g, row["loop"], row.get("base")),
+                      row["coeff"]) for row in rows]
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError("element JSON needs 'level', 'shading' and "
                              f"'terms' [{{loop, coeff}}]; bad: {exc}") from None
-        if shading not in ("+", "-") or not isinstance(level, int):
-            raise ValueError("element JSON needs an integer 'level' and a "
-                             f"'shading' '+' or '-', not {level!r}, {shading!r}")
+        if shading not in ("+", "-") or type(level) is not int or level < 0:
+            raise ValueError("element JSON needs an integer 'level' >= 0 and "
+                             f"a 'shading' '+' or '-', not {level!r}, {shading!r}")
+        for _, c in terms:
+            if type(c) not in (int, float) or not abs(c) <= sys.float_info.max:
+                raise ValueError(f"element JSON 'coeff' must be a finite "
+                                 f"number, not {c!r}")
         return self.element(terms, level=level,
                             shading=EVEN if shading == "+" else ODD)
 
@@ -192,34 +265,6 @@ class LoopAlgebra:
             out.extend(Loop(v, es) for es in loops_at(self.g, v, level))
         return out
 
-    def _check_loop(self, lp: Loop):
-        g = self.g
-        at = lp.base
-        for e in lp.edges:
-            if g.src(e) != at:
-                raise ValueError("loop edges do not compose")
-            at = g.tgt(e)
-        if at != lp.base:
-            raise ValueError("loop does not close")
-
-    # -- the two loop moves ---------------------------------------------------
-
-    def mirror(self, edges: tuple[int, ...]) -> tuple[int, ...]:
-        """The edge sequence read backwards with every orientation flipped."""
-        opp = self.g.opp
-        return tuple(opp(e) for e in reversed(edges))
-
-    def frame_weight(self, edges: tuple[int, ...], k: int, power: int) -> float:
-        """Close a frame of k strings: 0 unless the last k edges mirror the
-        first k, else the product of sigma(e)^power over the first k edges."""
-        opp, sigma = self.g.opp, self.pf.sigma
-        w = 1.0
-        for j in range(k):
-            if edges[-1 - j] != opp(edges[j]):
-                return 0.0
-            w *= sigma(edges[j]) ** power
-        return w
-
     def _turn(self, x: Element, steps: int, curved: bool) -> Element:
         """Move every basepoint forward by `steps` edges, with weight
         mu(old base)/mu(new base) when `curved`; odd steps flip the shading."""
@@ -228,15 +273,11 @@ class LoopAlgebra:
                 raise ValueError("cannot turn the basepoint of a level-0 element")
             return x
         s = steps % (2 * x.level)
-        g, mu = self.g, self.pf.mu
-        out: dict[Loop, float] = {}
-        for lp, c in x.terms.items():
-            edges = lp.edges[s:] + lp.edges[:s]
-            key = Loop(g.src(edges[0]), edges)
-            w = c * (mu[lp.base] / mu[key.base]) if curved else c
-            out[key] = out.get(key, 0.0) + w
-        shading = x.shading if s % 2 == 0 else -x.shading
-        return Element(x.level, shading, _prune(out))
+        words = np.roll(x.words, -s, axis=1)
+        base = self._src[words[:, 0]]
+        coeff = x.coeff * (self._mu[x.base] / self._mu[base]) if curved else x.coeff
+        return _merge(x.level, x.shading if s % 2 == 0 else -x.shading,
+                      base, words, coeff)
 
     # -- graded product ---------------------------------------------------
 
@@ -248,24 +289,26 @@ class LoopAlgebra:
             raise ValueError(f"wedge_{t} needs operands of level >= {t}")
         if a.shading != b.shading:
             raise ValueError("shading mismatch in wedge")
-        # b's loops keyed by what a's tail must meet: the base and the first
-        # t edges (at t = 0 the base alone); each group keeps b's order
-        heads: dict = {}
-        for lb, cb in b.terms.items():
-            heads.setdefault((lb.base, lb.edges[:t]), []).append((lb.edges[t:], cb))
-        out: dict[Loop, float] = {}
-        for la, ca in a.terms.items():
-            stem = la.edges[: len(la.edges) - t]
-            tail = la.edges[len(stem):]
-            head = self.mirror(tail) if t else ()
-            group = heads.get((la.base, head))
-            if group is None:
-                continue
-            w = self.frame_weight(head + tail, t, -1) if t else 1.0
-            for rest, cb in group:
-                key = Loop(la.base, stem + rest)
-                out[key] = out.get(key, 0.0) + ca * cb * w
-        return Element(a.level + b.level - t, a.shading, _prune(out))
+        # a row meets the b rows whose (base, first t letters) equal its own
+        # (base, mirrored last t letters); a-outer, b-inner in b's order
+        stem = 2 * a.level - t
+        tail = a.words[:, stem:]
+        head = tail[:, ::-1] ^ 1
+        keys = np.concatenate((_row_keys(a.base, head)[1],
+                               _row_keys(b.base, b.words[:, :t])[1]))
+        distinct, group = np.unique(keys, return_inverse=True)
+        ga, gb = group[:len(a.base)], group[len(a.base):]
+        by_group = np.argsort(gb, kind="stable")
+        count = np.bincount(gb, minlength=len(distinct))
+        start = np.cumsum(count) - count
+        n_match = count[ga]
+        ia = np.repeat(np.arange(len(ga)), n_match)
+        offset = np.arange(len(ia)) - np.repeat(np.cumsum(n_match) - n_match, n_match)
+        ib = by_group[start[ga[ia]] + offset]
+        w = _frame(np.concatenate((head, tail), axis=1), t, self._sigma[-1])
+        return _merge(a.level + b.level - t, a.shading, a.base[ia],
+                      np.concatenate((a.words[ia, :stem], b.words[ib, t:]), axis=1),
+                      a.coeff[ia] * b.coeff[ib] * w[ia])
 
     def usual_mult(self, a: Element, b: Element) -> Element:
         """Stacking-tangle product of equal-level elements in planar
@@ -280,11 +323,8 @@ class LoopAlgebra:
 
     def involution(self, a: Element) -> Element:
         """Dagger: mirror each loop, conjugate coefficients."""
-        out = {}
-        for lp, c in a.terms.items():
-            key = Loop(lp.base, self.mirror(lp.edges))
-            out[key] = out.get(key, 0.0) + _conj(c)
-        return Element(a.level, a.shading, _prune(out))
+        return _merge(a.level, a.shading, a.base, a.words[:, ::-1] ^ 1,
+                      a.coeff.conj())
 
     def rotate(self, a: Element, times: int = 1) -> Element:
         """Counterclockwise one-degree rotation (basepoint forward by 2)."""
@@ -307,13 +347,10 @@ class LoopAlgebra:
         Each loop w gains every composable frame edge: sum over edges ^e
         ending at the base of w of sigma(^e) * (^e w ^e-opposite).
         """
-        g, pf = self.g, self.pf
-        out: dict[Loop, float] = {}
-        for lp, c in a.terms.items():
-            for e in g.edges_into(lp.base):
-                key = Loop(g.src(e), (e,) + lp.edges + (g.opp(e),))
-                out[key] = out.get(key, 0.0) + c * pf.sigma(e)
-        return Element(a.level + 1, -a.shading, _prune(out))
+        r, e = _expand(self._in, a.base)
+        return _merge(a.level + 1, -a.shading, self._src[e],
+                      np.column_stack((e, a.words[r], e ^ 1)),
+                      a.coeff[r] * self._sigma[1][e])
 
     def expect_step(self, a: Element) -> Element:
         """Conditional expectation peeling the outermost frame layer.
@@ -325,15 +362,11 @@ class LoopAlgebra:
         """
         if a.level < 1:
             raise ValueError("expect_step needs level >= 1")
-        g, delta = self.g, self.pf.delta
-        out: dict[Loop, float] = {}
-        for lp, c in a.terms.items():
-            w = self.frame_weight(lp.edges, 1, -3)
-            if w == 0.0:
-                continue
-            key = Loop(g.tgt(lp.edges[0]), lp.edges[1:-1])
-            out[key] = out.get(key, 0.0) + c * (w / delta)
-        return Element(a.level - 1, -a.shading, _prune(out))
+        w = _frame(a.words, 1, self._sigma[-3])
+        keep = np.flatnonzero(w)
+        return _merge(a.level - 1, -a.shading, self._tgt[a.words[keep, 0]],
+                      a.words[keep, 1:-1],
+                      a.coeff[keep] * (w[keep] / self.pf.delta))
 
     def unit(self, k: int, shading: int) -> Element:
         """Unit of the grade-k algebra at level k: the identity diagram, i.e.
@@ -358,30 +391,21 @@ class LoopAlgebra:
             partner[i], partner[j] = j, i
         if sorted(partner) != list(range(1, two_k + 1)):
             raise ValueError("pairing must partition 1..2k")
-        for a, b in pairs:
-            for c, d in pairs:
-                if a < c < b < d:
-                    raise ValueError("crossing pairing rejected")
-
-        g, pf = self.g, self.pf
-        out: dict[Loop, float] = {}
-
-        def walk(pos, at, stack, edges, weight):
-            if pos > two_k:                           # closed: back at the base
-                key = Loop(at, tuple(edges))
-                out[key] = out.get(key, 0.0) + weight
-                return
-            if partner[pos] > pos:                    # opener: free edge
-                for e in g.edges_from(at):
-                    walk(pos + 1, g.tgt(e), stack + [e], edges + [e],
-                         weight * pf.sigma(e))
-            else:                                     # closer: forced opposite
-                e = stack[-1]
-                walk(pos + 1, g.src(e), stack[:-1], edges + [g.opp(e)], weight)
-
-        for v in self.g.vertices_of_parity(shading):
-            walk(1, v, [], [], 1.0)
-        return Element(two_k // 2, shading, _prune(out))
+        if not is_noncrossing(pairs):
+            raise ValueError("crossing pairing rejected")
+        # every walk at once, position by position: an opener takes each
+        # edge out of the current vertex, a closer its opener's opposite
+        base = at = np.array(self.g.vertices_of_parity(shading), dtype=np.intp)
+        words, weight = np.empty((len(at), 0), dtype=np.intp), np.ones(len(at))
+        for pos in range(1, two_k + 1):
+            if partner[pos] > pos:
+                r, e = _expand(self._out, at)
+                base, words, weight = base[r], words[r], weight[r] * self._sigma[1][e]
+            else:
+                e = words[:, partner[pos] - 1] ^ 1
+            at = self._tgt[e]
+            words = np.column_stack((words, e))
+        return _merge(two_k // 2, shading, base, words, weight)
 
     def big_T(self, n: int, shading: int = EVEN) -> Element:
         """Sum of all Catalan(n) non-crossing diagrams at level n."""
@@ -429,7 +453,3 @@ class LoopAlgebra:
         (wedge(to_grade a, to_grade b) = to_grade(b a)).
         """
         return self._turn(x, x.level, curved=True)
-
-
-def _conj(c):
-    return c.conjugate() if isinstance(c, complex) else c

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .graphs import EVEN, ODD
-from .elements import Element, Loop, LoopAlgebra, _prune
+from .elements import Element, Loop, LoopAlgebra
 
 _SHADING = {"+": EVEN, "-": ODD}
 _SHADING_NAME = {EVEN: "+", ODD: "-"}
@@ -296,7 +296,7 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
         if g.parity[lp.base] != prog.out_shading:
             continue
         terms[lp] = terms.get(lp, 0.0) + c
-    return Element(prog.out_level, prog.out_shading, _prune(terms))
+    return alg.element(terms, prog.out_level, prog.out_shading)
 
 
 def equivalence_check(alg: LoopAlgebra, prog_a: TangleProgram,

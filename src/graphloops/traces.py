@@ -2,9 +2,9 @@
 free-structure dimension report.
 
 The grade-k trace closes the k-edge frame of each stored loop
-(`LoopAlgebra.frame_weight` at power -3, i.e. [mu(s)/mu(t)]^{3/2} per frame
-edge), contracts the middle word with the full non-crossing pairing sum, and
-places the value at the middle vertex.  This normalization is pinned by
+(`elements._frame` with sigma^-3, i.e. [mu(s)/mu(t)]^{3/2} per frame
+edge), contracts the middle word with the full non-crossing pairing sum,
+and places the value at the middle vertex.  This normalization is pinned by
 three identities, all enforced in the tests:
 
 * restriction: trace_k on `to_grade` of a level-k element reproduces the
@@ -30,13 +30,11 @@ scaled) by the tower inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from .graphs import EVEN, loops_at
-from .elements import Element, Loop, LoopAlgebra
+from .elements import Element, Loop, LoopAlgebra, _frame
 from .ncpairings import (catalan, indecomposable_dimension_series,
                          noncrossing_pairings)
 
@@ -118,9 +116,8 @@ def _sigma_table(alg: LoopAlgebra, sigma=None) -> np.ndarray:
 
 def _word_array(loops, length: int) -> np.ndarray:
     """The edges of equal-length loops as an n x length integer array."""
-    flat = np.fromiter(chain.from_iterable(map(itemgetter(1), loops)),
-                       dtype=np.int32, count=len(loops) * length)
-    return flat.reshape(len(loops), length)
+    return np.array([lp.edges for lp in loops], dtype=np.int32).reshape(
+        len(loops), length)
 
 
 def _phi_word(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
@@ -167,60 +164,43 @@ def trace_k(alg: LoopAlgebra, k: int, x: Element) -> CenterValue:
     """Grade-k trace: close the k-edge frame, pair out the middle word.
 
     One pass over the element's word array: the frame test and its
-    sigma^-3 weights per row, the middle words through `_phi_words`, and a
-    per-vertex sum at the output vertex (the middle vertex, tgt of the k-th
-    edge) in term order.
+    sigma^-3 weights per row (`_frame`), the middle words through
+    `_phi_words`, and a per-vertex sum at the output vertex (the middle
+    vertex, tgt of the k-th edge) in row order.
     """
     if k < 0:
         raise ValueError("trace grade must be >= 0")
     if x.level < k:
         raise ValueError("element level below trace grade")
-    g = alg.g
-    out_shading = x.shading if k % 2 == 0 else -x.shading
-    if not x.terms:
-        return CenterValue(out_shading, {})
-    length = 2 * x.level
-    words = _word_array(x.terms, length)
-    w = np.array(list(x.terms.values()))
-    if k:
-        # frame_weight(edges, k, -3) per row: 0 unless the frame mirrors
-        cube = np.array([s ** -3 for s in alg.pf.sigmas])
-        frame, broken = np.ones(len(w)), np.zeros(len(w), dtype=bool)
-        for j in range(k):
-            broken |= words[:, length - 1 - j] != words[:, j] ^ 1
-            frame *= cube[words[:, j]]
-        frame[broken] = 0.0
-        w = w * frame
+    words = x.words
+    w = x.coeff * _frame(words, k, alg._sigma[-3]) if k else x.coeff
     keep = np.flatnonzero(w != 0)
-    if k:
-        tgt = np.array([g.tgt(e) for e in g.oriented_edges])
-        v_out = tgt[words[keep, k - 1]]
-    else:
-        v_out = np.fromiter(map(itemgetter(0), x.terms), dtype=np.intp,
-                            count=len(w))[keep]
-    middle = words[:, k:length - k]
+    v_out = alg._tgt[words[keep, k - 1]] if k else x.base[keep]
+    middle = words[:, k:words.shape[1] - k]
     if len(keep) < len(w):        # a full fancy index would copy every row
         middle, w = middle[keep], w[keep]
     w = w * _phi_words(middle, _sigma_table(alg))
-    sums = np.bincount(v_out, w.real, g.n_vertices).astype(w.dtype)
-    if np.iscomplexobj(w):
-        sums.imag = np.bincount(v_out, w.imag, g.n_vertices)
-    # vertices in order of first appearance, as a running dict sum keeps them
-    _, first = np.unique(v_out, return_index=True)
-    order = v_out[np.sort(first)].tolist()
-    return CenterValue(out_shading, {v: val for v, val in
-                                     zip(order, sums[order].tolist()) if val != 0.0})
+    return _vertex_sums(alg, x.shading if k % 2 == 0 else -x.shading, v_out, w)
 
 
 def usual_trace(alg: LoopAlgebra, x: Element) -> CenterValue:
     """Closed formula for the trace of a level-k element written in planar
     coordinates: prod_j delta_{a_j = opp(a_{2k+1-j})} sigma(a_j) at the base."""
-    values: dict[int, float] = {}
-    for lp, c in x.terms.items():
-        w = c * alg.frame_weight(lp.edges, x.level, 1)
-        if w:
-            values[lp.base] = values.get(lp.base, 0.0) + w
-    return CenterValue(x.shading, values)
+    w = x.coeff * _frame(x.words, x.level, alg._sigma[1])
+    keep = np.flatnonzero(w != 0)
+    return _vertex_sums(alg, x.shading, x.base[keep], w[keep])
+
+
+def _vertex_sums(alg: LoopAlgebra, shading: int, v_out: np.ndarray,
+                 w: np.ndarray) -> CenterValue:
+    """Sum w per vertex v_out in row order, as a running dict sum; zeros dropped."""
+    sums = np.bincount(v_out, w.real, alg.g.n_vertices).astype(w.dtype)
+    if np.iscomplexobj(w):
+        sums.imag = np.bincount(v_out, w.imag, alg.g.n_vertices)
+    _, first = np.unique(v_out, return_index=True)
+    order = v_out[np.sort(first)].tolist()
+    return CenterValue(shading, {v: val for v, val in
+                                 zip(order, sums[order].tolist()) if val != 0.0})
 
 
 def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
@@ -246,14 +226,14 @@ def inner_product(alg: LoopAlgebra, a: Element, b: Element) -> CenterValue:
     pf = alg.pf
     values: dict[int, float] = {}
     for lp, ca in a.terms.items():
-        cb = b.terms.get(Loop(lp.base, alg.mirror(lp.edges)))
+        back = tuple(e ^ 1 for e in reversed(lp.edges))
+        cb = b.terms.get(Loop(lp.base, back))
         if cb is None:
             continue
         w = 1.0
         for e in lp.edges:
             w *= pf.sigma(e)
-        ca = ca.conjugate() if isinstance(ca, complex) else ca
-        values[lp.base] = values.get(lp.base, 0.0) + ca * cb * w
+        values[lp.base] = values.get(lp.base, 0.0) + ca.conjugate() * cb * w
     return CenterValue(a.shading, values)
 
 

@@ -300,7 +300,7 @@ def test_criterion_9_degenerate_graph_diagnostics(a2, a3, s4):
     "on the two-vertex path; they commute there because the nested element "
     "is the square of the one-cup element, but a positive operator never "
     "equals its own square unless it is a projection, and the one-cup "
-    "element has non-idempotent spectrum.  See notes/decisions.md."))
+    "element has non-idempotent spectrum.  See the README, 'Install and test'."))
 def test_criterion_9_cup_equality_clause(a2):
     rep = commutator_diagnostics(a2, depth=8)
     assert rep["cup_minus_nested_fro"] <= 1e-9

@@ -156,6 +156,10 @@ A2_VERTICES = [{"name": "v", "parity": "+"}, {"name": "w", "parity": "-"}]
 A2_EDGES = [{"name": "e", "from": "v", "to": "w"}]
 TEXT_COEFF = {"level": 1, "shading": "+",
               "terms": [{"loop": "e1 e1'", "coeff": "x"}]}
+NAN_COEFF = {**TEXT_COEFF, "terms": [{"loop": "e1 e1'", "coeff": float("nan")}]}
+INF_COEFF = {**TEXT_COEFF, "terms": [{"loop": "e1 e1'", "coeff": float("inf")}]}
+BOOL_LEVEL = {**TEXT_COEFF, "level": True, "terms": [{"loop": "e1 e1'", "coeff": 1.0}]}
+NEGATIVE_LEVEL = {"level": -1, "shading": "+", "terms": []}
 
 
 @pytest.mark.parametrize("command, doc, named", [
@@ -170,13 +174,23 @@ TEXT_COEFF = {"level": 1, "shading": "+",
     ("trace", {"level": 1}, "'shading'"),
     ("trace", TEXT_COEFF, "coeff"),
     ("trace", {"level": "1", "shading": "+", "terms": []}, "'level'"),
+    ("trace", NAN_COEFF, "'coeff'"),
+    ("trace", INF_COEFF, "'coeff'"),
+    ("trace", BOOL_LEVEL, "'level'"),
+    ("trace", NEGATIVE_LEVEL, "'level'"),
     ("tangle", {"level": 1}, "'shading'"),
     ("tangle", TEXT_COEFF, "coeff"),
+    ("tangle", NAN_COEFF, "'coeff'"),
+    ("tangle", INF_COEFF, "'coeff'"),
+    ("tangle", BOOL_LEVEL, "'level'"),
+    ("tangle", NEGATIVE_LEVEL, "'level'"),
     ("vertex", None, "'q'"),
 ], ids=["vertex-without-parity", "edge-without-to", "top-level-list",
         "list-vertex-name", "mu-without-vertex", "element-without-shading",
-        "text-coeff", "text-level", "inputs-without-shading",
-        "inputs-text-coeff", "unknown-vertex"])
+        "text-coeff", "text-level", "nan-coeff", "infinite-coeff",
+        "bool-level", "negative-level", "inputs-without-shading",
+        "inputs-text-coeff", "inputs-nan-coeff", "inputs-infinite-coeff",
+        "inputs-bool-level", "inputs-negative-level", "unknown-vertex"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, named):
     path = tmp_path / "doc.json"
     if command == "graph":
