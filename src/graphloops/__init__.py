@@ -2,8 +2,8 @@
 bipartite graphs."""
 
 from .graphs import (BipartiteGraph, GraphError, PFData, builtin_graph,
-                     load_graph, load_pf, loops_at, perron_frobenius,
-                     pf_from_mu, EVEN, ODD)
+                     load_graph, load_pf, perron_frobenius, pf_from_mu,
+                     EVEN, ODD)
 from .elements import Element, Loop, LoopAlgebra, loop_from_tokens, loop_tokens
 from .ncpairings import (catalan, free_poisson_moments, narayana,
                          noncrossing_pairings)
@@ -15,7 +15,7 @@ from .randmat import BlockModelSpec, SampledModel, estimate_trace, convergence_s
 
 __all__ = [
     "BipartiteGraph", "GraphError", "PFData", "builtin_graph", "load_graph",
-    "load_pf", "loops_at", "perron_frobenius", "pf_from_mu", "EVEN", "ODD",
+    "load_pf", "perron_frobenius", "pf_from_mu", "EVEN", "ODD",
     "Element", "Loop", "LoopAlgebra", "loop_from_tokens", "loop_tokens",
     "catalan", "free_poisson_moments", "narayana", "noncrossing_pairings",
     "CenterValue", "gram_psd_check", "inner_product", "phi_vertex", "trace_k",

@@ -1,14 +1,15 @@
 """Command-line surface: reports over all modules.
 
 Exit status: 0 success, 1 failed numeric check, 2 usage error (argparse,
-or an input the model cannot take: a bad value, a missing file, a Fock path
-basis past its cap).
+including a --tol that is not a finite number > 0, or an input the model
+cannot take: a bad value, a missing file, a Fock path basis past its cap).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,17 +49,27 @@ def _load_alg(name_or_path: str, tol: float) -> LoopAlgebra:
 
 
 def _int_at_least(low: int):
-    """argparse type for size and count flags: an integer >= low."""
-    def parse(text: str) -> int:
+    """argparse type for size and count flags: an integer >= low (argparse
+    names the type, so text that is no integer reads "invalid integer")."""
+    def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {low}, got {value}")
         return value
-    return parse
+    return integer
 
 
 POSITIVE, NON_NEGATIVE = _int_at_least(1), _int_at_least(0)
+
+
+def tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text}")
+    return value
 
 
 def _finish(report: RunReport, args, started: float, failed: bool) -> int:
@@ -109,11 +120,11 @@ def cmd_moments(args) -> int:
         space = FockSpace(alg, 2 * args.fock_n)
         cup_op = space.cup_operator()
         vec = np.zeros(len(space.basis))
-        vec[space.basis.vacuum_index(v0)] = 1.0
+        vec[v0] = 1.0
         fock_vals.append(1.0)
         for _ in range(args.fock_n):
             vec = cup_op @ vec
-            fock_vals.append(float(vec[space.basis.vacuum_index(v0)]))
+            fock_vals.append(float(vec[v0]))
 
     failed = False
     for n in range(args.n + 1):
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="builtin name (a2, a3, s4, aN) or JSON path")
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=tolerance, default=1e-9)
         p.add_argument("--threads", type=POSITIVE, default=1)
         p.add_argument("--seed", type=int, default=42)
 

@@ -4,10 +4,11 @@ of the planar algebra of a bipartite graph.
 An element is three arrays: `base` int32[n], `words` int32[n, 2 level]
 (oriented edge ids) and `coeff` float or complex [n].  `_merge` builds every
 element: equal rows are summed in input order, sums with |c| <= PRUNE_TOL
-are dropped and rows keep the order of their first appearance.  That is the
-order and arithmetic of a running dict sum, so every coefficient equals the
-one a dict of loops would hold, bit for bit.  `Element.terms` is a
-read-only {Loop: coeff} view for I/O and the oracle routes.
+times the largest input |c| are dropped and rows keep the order of their
+first appearance.  That is the order and arithmetic of a running dict sum,
+so every coefficient equals the one a dict of loops would hold, bit for bit.
+`Element.terms` is a read-only {Loop: coeff} view for I/O and the oracle
+routes.
 
 Conventions (fixed once here, validated against the Fock operator model in
 tests):
@@ -43,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import BipartiteGraph, EVEN, ODD, PFData, loops_at
-from .ncpairings import is_noncrossing, noncrossing_pairings
+from .graphs import BipartiteGraph, EVEN, ODD, PFData
+from .ncpairings import is_noncrossing
 
 PRUNE_TOL = 1e-14
 
@@ -73,8 +74,8 @@ class Element:
     @cached_property
     def terms(self) -> Mapping[Loop, float]:
         """The rows as a read-only {Loop: coeff} mapping, in row order."""
-        loops = map(Loop, self.base.tolist(), map(tuple, self.words.tolist()))
-        return MappingProxyType(dict(zip(loops, self.coeff.tolist())))
+        return MappingProxyType(dict(zip(_loops(self.base, self.words),
+                                         self.coeff.tolist())))
 
     # -- linear structure ---------------------------------------------
 
@@ -100,6 +101,11 @@ class Element:
         return float(np.abs(self.coeff).max(initial=0.0))
 
 
+def _loops(base: np.ndarray, words: np.ndarray) -> list[Loop]:
+    """The rows (base, words) as Loops of Python ints."""
+    return list(map(Loop, base.tolist(), map(tuple, words.tolist())))
+
+
 def _row_keys(base: np.ndarray, words: np.ndarray):
     """The rows (base, words) as one int32 array and a byte key per row."""
     rows = np.empty((len(base), 1 + words.shape[1]), dtype=np.int32)
@@ -109,8 +115,9 @@ def _row_keys(base: np.ndarray, words: np.ndarray):
 
 def _merge(level: int, shading: int, base, words, coeff) -> Element:
     """The element of the rows (base[i], words[i], coeff[i]): equal rows
-    summed in input order, |sum| <= PRUNE_TOL dropped, rows in order of
-    first appearance."""
+    summed in input order, |sum| <= PRUNE_TOL max|coeff| dropped, rows in
+    order of first appearance."""
+    bound = PRUNE_TOL * np.abs(coeff).max(initial=0.0)  # ahead of the big temporaries
     rows, key = _row_keys(base, words)
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -120,7 +127,7 @@ def _merge(level: int, shading: int, base, words, coeff) -> Element:
     total = np.bincount(group, coeff.real, len(order)).astype(coeff.dtype)
     if np.iscomplexobj(coeff):
         total.imag = np.bincount(group, coeff.imag, len(order))
-    keep = np.abs(total) > PRUNE_TOL
+    keep = np.abs(total) > bound
     rows, total = rows[first[order][keep]], total[keep]
     rows.flags.writeable = total.flags.writeable = False     # terms is cached
     return Element(level, shading, rows[:, 0], rows[:, 1:], total)
@@ -259,11 +266,24 @@ class LoopAlgebra:
                 "shading": "+" if x.shading == EVEN else "-",
                 "terms": rows}
 
+    def loop_words(self, level: int, shading: int):
+        """(base, words) of every loop of 2 level edges based at a vertex of
+        the given shading: the walks from those vertices, one `_expand` over
+        the out-edges per letter, that end where they began.  Rows are in
+        depth-first order: by base vertex, then edge ids letter by letter."""
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        base = at = np.array(self.g.vertices_of_parity(shading), dtype=np.intp)
+        words = np.empty((len(at), 0), dtype=np.intp)
+        for _ in range(2 * level):
+            r, e = _expand(self._out, at)
+            base, words, at = base[r], np.column_stack((words[r], e)), self._tgt[e]
+        closed = at == base
+        return base[closed], words[closed]
+
     def basis(self, level: int, shading: int) -> list[Loop]:
-        out = []
-        for v in self.g.vertices_of_parity(shading):
-            out.extend(Loop(v, es) for es in loops_at(self.g, v, level))
-        return out
+        """The loops of `loop_words`, in its order."""
+        return _loops(*self.loop_words(level, shading))
 
     def _turn(self, x: Element, steps: int, curved: bool) -> Element:
         """Move every basepoint forward by `steps` edges, with weight
@@ -406,13 +426,6 @@ class LoopAlgebra:
             at = self._tgt[e]
             words = np.column_stack((words, e))
         return _merge(two_k // 2, shading, base, words, weight)
-
-    def big_T(self, n: int, shading: int = EVEN) -> Element:
-        """Sum of all Catalan(n) non-crossing diagrams at level n."""
-        x = self.zero(n, shading)
-        for pairing in noncrossing_pairings(2 * n):
-            x = x + self.tl_element(pairing, shading)
-        return x
 
     def cup(self, shading: int = EVEN) -> Element:
         """The one-cup element: sum over edges e of sigma(e) (e e-opposite)."""

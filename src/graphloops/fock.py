@@ -3,12 +3,13 @@
 The basis consists of all composable edge sequences of length 0..K (length 0
 = vertices), stored as a trie in length order: each path is its first edge
 prepended to a parent path one letter shorter (`PathBasis.first`,
-`PathBasis.parent`).  The edge creation operator prepends an edge when
-composable, mapping each parent to its child; its adjoint strips a matching
-first edge, child to parent, with weight ||e||^2 = sqrt(mu(s(e))/mu(t(e))).
-Both are read off the two arrays, as are the path weights ||p||^2 and the
-interior columns (a prefix of the length order).  c(e) = create(e) +
-annihilate(e-opposite).  A grade-n loop e_1..e_n w f_n-opp..f_1-opp acts as
+`PathBasis.parent`), one `_expand` over the in-edges per length.  The edge
+creation operator prepends an edge when composable, mapping each parent to
+its child; its adjoint strips a matching first edge, child to parent, with
+weight ||e||^2 = sqrt(mu(s(e))/mu(t(e))).  Both are read off the two
+arrays, as are the path weights ||p||^2 and the interior columns (a prefix
+of the length order).  c(e) = create(e) + annihilate(e-opposite).  A
+grade-n loop e_1..e_n w f_n-opp..f_1-opp acts as
 
     create(e_1) ... create(e_n) c(w) ann(f_n) ... ann(f_1),
 
@@ -17,9 +18,10 @@ truncation interior, which is what pins every sign and weight convention in
 the loop algebra.
 
 A vacuum expectation <v, c(e_1)...c(e_n) v> needs no word operator: the
-cached c(e) matrices are applied right to left to the vacuum vector of v,
-one sparse matrix-vector product per letter (`apply_word`); the oracle
-shares the products of a common suffix across loops (`_vacuum_values`).
+cached c(e) matrices are applied right to left to the vacuum vector of v
+(basis path v), one sparse matrix-vector product per letter, and the
+oracle shares the products of a common suffix across loops
+(`_vacuum_values`).
 
 scipy.sparse is imported inside the methods that build operators, so
 importing the package does not pay for it.
@@ -32,8 +34,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import EVEN, ODD
-from .elements import Element, Loop, LoopAlgebra, loop_label
-from .traces import _phi_words, _sigma_table, _word_array
+from .elements import (Element, Loop, LoopAlgebra, _expand, _frame, _loops,
+                       loop_label)
+from .traces import _phi_words, _sigma_table
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -45,48 +48,39 @@ class PathBasis:
     """All composable paths of length <= K as a trie in length order.
 
     Path i is the edge `first[i]` prepended to path `parent[i]`, one letter
-    shorter; vertex v is path v, with first and parent -1.  `offsets[n]` is
-    where the paths of length n start, and `norm_sq[i]` is the product of
-    ||e||^2 over the edges of path i.
+    shorter; vertex v is path v (its vacuum), with first and parent -1.
+    `offsets[n]` is where the paths of length n start, and `norm_sq[i]` is
+    the product of ||e||^2 over the edges of path i.  Each length is one
+    `_expand` of the previous one's start vertices over the in-edges, so its
+    paths come in parent order and each parent's children in edge-id order.
     """
 
     def __init__(self, alg: LoopAlgebra, depth: int):
-        self.alg = alg
         self.depth = depth
-        g = alg.g
-        n_v = g.n_vertices
-        paths = [(v, ()) for v in range(n_v)]
-        first, parent, norm_sq = [-1] * n_v, [-1] * n_v, [1.0] * n_v
-        offsets = [0, n_v]
-        into = [g.edges_into(v) for v in range(n_v)]
-        edge_norm_sq = [alg.pf.norm_sq(e) for e in g.oriented_edges]
+        n_v = alg.g.n_vertices
+        edge_norm_sq = 1.0 / np.array(alg.pf.sigmas)
+        start = np.arange(n_v)
+        first, parent = [np.full(n_v, -1)], [np.full(n_v, -1)]
+        norm_sq, offsets = [np.ones(n_v)], [0, n_v]
         for _ in range(depth):
-            for i in range(offsets[-2], offsets[-1]):
-                start, edges = paths[i]
-                for e in into[start]:
-                    paths.append((g.src(e), (e,) + edges))
-                    first.append(e)
-                    parent.append(i)
-                    norm_sq.append(norm_sq[i] * edge_norm_sq[e])
-            offsets.append(len(paths))
-            if len(paths) > BASIS_CAP:
+            r, e = _expand(alg._in, start)
+            first.append(e)
+            parent.append(offsets[-2] + r)
+            norm_sq.append(norm_sq[-1][r] * edge_norm_sq[e])
+            start = alg._src[e]
+            offsets.append(offsets[-1] + len(e))
+            if offsets[-1] > BASIS_CAP:
                 raise MemoryError("path basis exceeds cap")
-        self.paths, self.offsets = paths, offsets
-        self.first, self.parent = np.array(first), np.array(parent)
-        self.norm_sq = np.array(norm_sq)
+        self.offsets = offsets
+        self.first, self.parent = np.concatenate(first), np.concatenate(parent)
+        self.norm_sq = np.concatenate(norm_sq)
 
     def __len__(self):
-        return len(self.paths)
-
-    def vacuum_index(self, v: int) -> int:
-        return v
+        return self.offsets[-1]
 
     def interior_indices(self, max_len: int) -> range:
         """The paths of length <= max_len: a prefix of the length order."""
         return range(self.offsets[min(max(max_len + 1, 0), self.depth + 1)])
-
-    def path_norm_sq(self, i: int) -> float:
-        return float(self.norm_sq[i])
 
 
 class FockSpace:
@@ -130,13 +124,6 @@ class FockSpace:
         for e in edges:
             out = out @ self.c(e)
         return out
-
-    def apply_word(self, edges, vec: np.ndarray) -> np.ndarray:
-        """c(e_1) ... c(e_n) vec, applying the letters right to left: one
-        sparse matrix-vector product per letter, no word operator formed."""
-        for e in reversed(edges):
-            vec = self.c(e) @ vec
-        return vec
 
     def c_loop(self, lp: Loop, grade: int) -> sp.csr_matrix:
         """Operator of one loop at frame depth `grade`."""
@@ -197,7 +184,7 @@ class FockSpace:
         if 2 * k > self.basis.depth:
             raise ValueError("depth too small for xi tensor power")
         vec = np.zeros(len(self.basis))
-        vec[self.basis.vacuum_index(v)] = 1.0
+        vec[v] = 1.0
         for _ in range(k):
             vec = sum(pf.sigma(e) * (create(e) @ (create(g.opp(e)) @ vec))
                       for e in g.edges_from(v))
@@ -207,17 +194,6 @@ class FockSpace:
         return float(np.abs(vec) ** 2 @ self.basis.norm_sq)
 
     # -- states ------------------------------------------------------------
-
-    def vacuum_expectation(self, X: sp.csr_matrix, v: int,
-                           word_len: int | None = None) -> float:
-        """<v, X v>.  Passing the operator's word length asserts the
-        truncation is deep enough for the value to be exact."""
-        if word_len is not None and word_len > self.basis.depth:
-            raise ValueError(
-                f"word of length {word_len} is not exact at depth "
-                f"{self.basis.depth}")
-        i = self.basis.vacuum_index(v)
-        return float(X[i, i])
 
     def phi_frame_operator(self, X: sp.csr_matrix, n: int) -> float:
         """Scalar tower weight at frame depth n, straight from the operator:
@@ -272,9 +248,9 @@ def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6,
     loops, want = [], []
     for level in range(0, max_len // 2 + 1):
         for shading in (EVEN, ODD):
-            basis = alg.basis(level, shading)
-            loops += basis
-            want.append(_phi_words(_word_array(basis, 2 * level), sig))
+            base, words = alg.loop_words(level, shading)
+            loops += _loops(base, words)
+            want.append(_phi_words(words, sig))
     dev = np.abs(_vacuum_values(space, loops) - np.concatenate(want))
     worst = float(dev.max())
     worst_loop = loops[int(dev.argmax())] if worst > 0.0 else None
@@ -303,13 +279,13 @@ def _vacuum_values(space: FockSpace, loops: list[Loop]) -> np.ndarray:
         if loops[i].base != base:
             base, word = loops[i].base, ()
             stack = [np.zeros(len(space.basis))]
-            stack[0][space.basis.vacuum_index(base)] = 1.0
+            stack[0][base] = 1.0
         common = next((j for j, (a, b) in enumerate(zip(word, rev)) if a != b),
                       min(len(word), len(rev)))
         del stack[common + 1:]
         for e in rev[common:]:
             stack.append(space.c(e) @ stack[-1])
-        got[i] = stack[-1][space.basis.vacuum_index(base)]
+        got[i] = stack[-1][base]
         word = rev
     return got
 
@@ -362,11 +338,9 @@ def pk_commutation_residual(alg: LoopAlgebra, space: FockSpace,
     """Max interior entry of [c_k(u), i_k(c(w))] over pure frame words u of
     level k and short even loops w.  The relative-commutant elements of the
     tower commute with every k-fold included grade-0 operator."""
-    g = alg.g
-    shading = EVEN if k % 2 == 0 else ODD
-    frame_words = [lp for lp in alg.basis(k, shading)
-                   if all(lp.edges[j] == g.opp(lp.edges[-1 - j])
-                          for j in range(k))]
+    base, words = alg.loop_words(k, EVEN if k % 2 == 0 else ODD)
+    frame = np.flatnonzero(_frame(words, k, np.ones(len(alg._src))))[:8]
+    frame_words = _loops(base[frame], words[frame])
     short_loops = alg.basis(1, EVEN)
     worst = 0.0
     for w in short_loops:
@@ -375,7 +349,7 @@ def pk_commutation_residual(alg: LoopAlgebra, space: FockSpace,
         for _ in range(k):
             included = space.include_operator(included, parity)
             parity = -parity
-        for u in frame_words[:8]:
+        for u in frame_words:
             z = space.c_loop(u, k)
             d = _interior(space, z @ included - included @ z,
                           len(u.edges) + len(w.edges) + 2 * k)

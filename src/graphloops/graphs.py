@@ -1,4 +1,4 @@
-"""Finite bipartite graphs with Perron-Frobenius data and loop enumeration.
+"""Finite bipartite graphs with Perron-Frobenius data.
 
 Vertices carry a parity (+1 even / -1 odd).  Base edges always run from an
 even vertex to an odd vertex; every base edge also exists with the opposite
@@ -324,28 +324,6 @@ def perron_frobenius(g: BipartiteGraph, tol: float = 1e-12) -> PFData:
     if resid > tol:
         raise ValueError(f"eigen-residual {resid:.3g} exceeds tol {tol:.3g}")
     return PFData(g, delta, tuple(float(x) for x in mu), tol)
-
-
-def loops_at(g: BipartiteGraph, v: int, k: int) -> list[tuple[int, ...]]:
-    """All closed composable edge sequences of length 2k based at v.
-
-    Deterministic order (depth-first, edges in id order).  Returns edge-id
-    tuples; the empty tuple for k = 0.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out: list[tuple[int, ...]] = []
-
-    def walk(at: int, prefix: tuple[int, ...]):
-        if len(prefix) == 2 * k:
-            if at == v:
-                out.append(prefix)
-            return
-        for e in g.edges_from(at):
-            walk(g.tgt(e), prefix + (e,))
-
-    walk(v, ())
-    return out
 
 
 # -- built-in graphs used throughout the test-suite and the CLI ---------

@@ -147,13 +147,6 @@ def free_poisson_moments(delta: float, nmax: int,
     raise ValueError(f"unknown method {method!r}")
 
 
-def phi_quadratic_residual(delta: float, z: complex, nterms: int = 80) -> float:
-    """|Phi - 1 - z(delta-1)Phi - z Phi^2| with Phi summed numerically at z."""
-    coeffs = moment_generating_series(delta, nterms)
-    phi = sum(c * z ** i for i, c in enumerate(coeffs))
-    return abs(phi - 1.0 - z * (delta - 1.0) * phi - z * phi * phi)
-
-
 def indecomposable_dimension_series(nmax: int) -> list[int]:
     """Coefficients 1..nmax of 1 - 1/Phi_TL with Phi_TL(z) = sum Catalan(n) z^n.
 

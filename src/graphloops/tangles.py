@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .graphs import EVEN, ODD
-from .elements import Element, Loop, LoopAlgebra
+from .elements import Element, Loop, LoopAlgebra, _merge
 
 _SHADING = {"+": EVEN, "-": ODD}
 _SHADING_NAME = {EVEN: "+", ODD: "-"}
@@ -323,12 +323,9 @@ def equivalence_check(alg: LoopAlgebra, prog_a: TangleProgram,
 
 
 def random_element(alg: LoopAlgebra, level: int, shading: int, rng) -> Element:
-    basis = alg.basis(level, shading)
-    if not basis:
-        return alg.zero(level, shading)
-    coeffs = rng.standard_normal(len(basis))
-    return alg.element({lp: float(c) for lp, c in zip(basis, coeffs)},
-                       level=level, shading=shading)
+    """Standard normal coefficients on the loops of `alg.loop_words`."""
+    base, words = alg.loop_words(level, shading)
+    return _merge(level, shading, base, words, rng.standard_normal(len(base)))
 
 
 # -- canned program builders used as cross-checking oracles ------------------

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import EVEN, loops_at
-from .elements import Element, Loop, LoopAlgebra, _frame
+from .graphs import EVEN
+from .elements import Element, Loop, LoopAlgebra, _frame, _loops
 from .ncpairings import (catalan, indecomposable_dimension_series,
                          noncrossing_pairings)
 
@@ -112,12 +112,6 @@ def _sigma_table(alg: LoopAlgebra, sigma=None) -> np.ndarray:
     if sigma is None:
         return np.array(alg.pf.sigmas)
     return np.array([sigma(e) for e in alg.g.oriented_edges], dtype=float)
-
-
-def _word_array(loops, length: int) -> np.ndarray:
-    """The edges of equal-length loops as an n x length integer array."""
-    return np.array([lp.edges for lp in loops], dtype=np.int32).reshape(
-        len(loops), length)
 
 
 def _phi_word(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
@@ -240,13 +234,13 @@ def inner_product(alg: LoopAlgebra, a: Element, b: Element) -> CenterValue:
 def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
     """Loop basis at (v, k) and the positive-form Gram
     G[x, y] = mu(v) phi_v(dagger(x) wedge_0 y)."""
-    basis = [Loop(v, es) for es in loops_at(alg.g, v, k)]
-    n = len(basis)
-    words = _word_array(basis, 2 * k)
+    base, words = alg.loop_words(k, alg.g.parity[v])
+    base, words = base[base == v], words[base == v]
+    n = len(words)
     pairs = np.concatenate([np.repeat(words[:, ::-1] ^ 1, n, axis=0),
                             np.tile(words, (n, 1))], axis=1)
     mat = alg.pf.mu[v] * _phi_words(pairs, _sigma_table(alg, sigma))
-    return basis, mat.reshape(n, n)
+    return _loops(base, words), mat.reshape(n, n)
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,

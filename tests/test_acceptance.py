@@ -52,11 +52,11 @@ def test_criterion_1_moment_four_way_agreement(test_algebras):
         fock_vals = {}
         for v in alg.g.vertices_of_parity(EVEN):
             vec = np.zeros(len(space.basis))
-            vec[space.basis.vacuum_index(v)] = 1.0
+            vec[v] = 1.0
             vals = [1.0]
             for _ in range(6):
                 vec = cup_op @ vec
-                vals.append(float(vec[space.basis.vacuum_index(v)]))
+                vals.append(float(vec[v]))
             fock_vals[v] = vals
         for n in range(9):
             scale = max(1.0, abs(rec[n]))

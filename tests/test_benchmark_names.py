@@ -2,10 +2,13 @@
 
 `perfbench/spans.py` emits a declared metric only while the package name it
 wraps exists, so renaming one of them (say `randmat.SampledModel`) silently
-drops metrics from every traced benchmark run.  This reads `perfbench/` and
-`BENCHMARK.json` and changes neither.
+drops metrics from every traced benchmark run.  Every benchmark op is a CLI
+subcommand run with `--threads 1 --out PATH` appended, so every subcommand
+must keep both flags.  This reads `perfbench/` and `BENCHMARK.json` and
+changes neither.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -104,3 +107,24 @@ def test_sampler_counts_reach_the_benchmark():
     for key in ("randmat.samples", "randmat.matvecs", "_normals.values"):
         assert counts.get(key, 0) > 0, key
 
+
+
+# the fewest arguments each subcommand takes; perfbench's `cli_op` appends
+# `--threads 1 --out PATH` to every op it runs
+MINIMAL_ARGV = {
+    "graph": [], "moments": [], "trace": ["--loop", "e1 e1'"],
+    "tangle": ["--program", "p.tgl"], "tower": [], "fock": [],
+    "mc": ["--loop", "e1 e1'"], "freedim": [], "selftest": [],
+}
+
+
+def test_every_subcommand_takes_the_benchmark_flags(tmp_path):
+    from graphloops.cli import build_parser
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(MINIMAL_ARGV)
+    out = str(tmp_path / "report.json")
+    for name, argv in MINIMAL_ARGV.items():
+        args = parser.parse_args([name, *argv, "--threads", "1", "--out", out])
+        assert (args.threads, args.out) == (1, out), name

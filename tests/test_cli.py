@@ -140,6 +140,10 @@ MC_A3 = ("mc", "--graph", "a3", "--loop", "e1 e1' e1 e1'")
     (("moments", "--graph", "a3", "--n", "-1"), "--n"),
     (("tower", "--graph", "a3", "--k", "1"), "--k"),
     (MC_A3 + ("--samples", "1"), "--samples"),
+    (("moments", "--graph", "a3", "--tol", "nan"), "--tol"),
+    (("selftest", "--tol", "inf"), "--tol"),
+    (("tower", "--graph", "a3", "--tol", "0"), "--tol"),
+    (("graph", "--graph", "a2", "--tol", "-1"), "--tol"),
 ])
 def test_out_of_range_size_is_usage_error(capsys, argv, flag):
     try:

@@ -2,9 +2,10 @@
 
 The reference below is the loop-by-loop dict code the array form replaced:
 every product builds each output loop as a tuple and adds its coefficient
-into a running dict sum, then drops |c| <= PRUNE_TOL.  `_merge` sums equal
-rows in the same order, so the two agree exactly: same loops, same
-insertion order, same coefficients to the last bit.
+into a running dict sum, then drops |c| <= PRUNE_TOL times the largest
+|coefficient| it added.  `_merge` sums equal rows in the same order, so the
+two agree exactly: same loops, same insertion order, same coefficients to
+the last bit.
 """
 
 import numpy as np
@@ -16,12 +17,18 @@ from graphloops.ncpairings import noncrossing_pairings
 from test_random_graphs import bipartite_graphs
 
 
-def _add_into(out, key, c):
-    out[key] = out.get(key, 0.0) + c
+class _Sum(dict):
+    """A running dict sum that remembers the largest |c| added to it."""
 
+    scale = 0.0
 
-def _pruned(out):
-    return {lp: c for lp, c in out.items() if abs(c) > PRUNE_TOL}
+    def add(self, key, c):
+        self[key] = self.get(key, 0.0) + c
+        self.scale = max(self.scale, abs(c))
+
+    def pruned(self):
+        return {lp: c for lp, c in self.items()
+                if abs(c) > PRUNE_TOL * self.scale}
 
 
 def _mirror(edges):
@@ -38,68 +45,68 @@ def _frame_weight(alg, edges, k, power):
 
 
 def ref_add(x, y):
-    out = dict(x.terms)
-    for lp, c in y.terms.items():
-        _add_into(out, lp, c)
-    return _pruned(out)
+    out = _Sum()
+    for lp, c in list(x.terms.items()) + list(y.terms.items()):
+        out.add(lp, c)
+    return out.pruned()
 
 
 def ref_wedge(alg, t, a, b):
     heads = {}
     for lb, cb in b.terms.items():
         heads.setdefault((lb.base, lb.edges[:t]), []).append((lb.edges[t:], cb))
-    out = {}
+    out = _Sum()
     for la, ca in a.terms.items():
         stem, tail = la.edges[:len(la.edges) - t], la.edges[len(la.edges) - t:]
         head = _mirror(tail)
         w = _frame_weight(alg, head + tail, t, -1)
         for rest, cb in heads.get((la.base, head), ()):
-            _add_into(out, Loop(la.base, stem + rest), ca * cb * w)
-    return _pruned(out)
+            out.add(Loop(la.base, stem + rest), ca * cb * w)
+    return out.pruned()
 
 
 def ref_involution(alg, x):
-    out = {}
+    out = _Sum()
     for lp, c in x.terms.items():
-        _add_into(out, Loop(lp.base, _mirror(lp.edges)), c.conjugate())
-    return _pruned(out)
+        out.add(Loop(lp.base, _mirror(lp.edges)), c.conjugate())
+    return out.pruned()
 
 
 def ref_turn(alg, x, steps, curved):
-    s, mu, out = steps % (2 * x.level), alg.pf.mu, {}
+    s, mu, out = steps % (2 * x.level), alg.pf.mu, _Sum()
     for lp, c in x.terms.items():
         edges = lp.edges[s:] + lp.edges[:s]
         key = Loop(alg.g.src(edges[0]), edges)
-        _add_into(out, key, c * (mu[lp.base] / mu[key.base]) if curved else c)
-    return _pruned(out)
+        out.add(key, c * (mu[lp.base] / mu[key.base]) if curved else c)
+    return out.pruned()
 
 
 def ref_include_step(alg, x):
-    g, out = alg.g, {}
+    g, out = alg.g, _Sum()
     for lp, c in x.terms.items():
         for e in g.edges_into(lp.base):
-            _add_into(out, Loop(g.src(e), (e,) + lp.edges + (e ^ 1,)),
-                      c * alg.pf.sigma(e))
-    return _pruned(out)
+            out.add(Loop(g.src(e), (e,) + lp.edges + (e ^ 1,)),
+                    c * alg.pf.sigma(e))
+    return out.pruned()
 
 
 def ref_expect_step(alg, x):
-    out = {}
+    out = _Sum()
     for lp, c in x.terms.items():
         w = _frame_weight(alg, lp.edges, 1, -3)
         if w:
-            _add_into(out, Loop(alg.g.tgt(lp.edges[0]), lp.edges[1:-1]),
-                      c * (w / alg.pf.delta))
-    return _pruned(out)
+            out.add(Loop(alg.g.tgt(lp.edges[0]), lp.edges[1:-1]),
+                    c * (w / alg.pf.delta))
+    return out.pruned()
 
 
 def ref_tl_element(alg, pairing, shading):
-    g, out = alg.g, {}
+    g, out = alg.g, _Sum()
     partner = {i: j for p in pairing for i, j in (p, p[::-1])}
 
     def walk(pos, at, stack, edges, weight):
         if pos > len(partner):
-            _add_into(out, Loop(at, tuple(edges)), weight)
+            out.add(Loop(at, tuple(edges)), weight)
         elif partner[pos] > pos:
             for e in g.edges_from(at):
                 walk(pos + 1, g.tgt(e), stack + [e], edges + [e],
@@ -110,7 +117,7 @@ def ref_tl_element(alg, pairing, shading):
 
     for v in g.vertices_of_parity(shading):
         walk(1, v, [], [], 1.0)
-    return _pruned(out)
+    return out.pruned()
 
 
 def assert_canonical(x):
@@ -120,7 +127,7 @@ def assert_canonical(x):
     assert len(x.terms) == n                     # rows are distinct
     assert not (x.base.flags.writeable or x.words.flags.writeable
                 or x.coeff.flags.writeable)
-    assert np.all(np.abs(x.coeff) > PRUNE_TOL)
+    assert np.all(x.coeff != 0)
 
 
 def assert_same(got, want, exact=True):
@@ -193,6 +200,15 @@ def test_merge_sums_in_input_order_and_prunes(a3):
     tiny = a3.element([(lp, 1.0), (other, 1.0)]) + a3.element([(lp, -1.0 + 1e-15)])
     assert list(tiny.terms.items()) == [(other, 1.0)]
     assert_canonical(tiny)
+    # the bound is relative to the largest |input|: small elements keep
+    # their rows, and only their own near-cancellations go
+    small = a3.cup().scale(1e-15)
+    assert np.array_equal(small.coeff, 1e-15 * a3.cup().coeff)
+    assert_canonical(small)
+    cup = a3.cup().scale(1e-8)
+    assert len(a3.wedge(0, cup, cup).coeff) == 4
+    near = a3.element([(lp, 1e-15), (other, 1e-15), (lp, -1e-15 + 1e-30)])
+    assert list(near.terms.items()) == [(other, 1e-15)]
 
 
 @given(bipartite_graphs(), st.integers(min_value=0, max_value=2 ** 31))

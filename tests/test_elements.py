@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphloops import EVEN, ODD, Loop, loop_from_tokens, loop_tokens
+from graphloops.ncpairings import noncrossing_pairings
 from graphloops.tangles import random_element
 from graphloops.traces import phi_frame
+
+
+def big_T(alg, n, shading=EVEN):
+    """Sum of all Catalan(n) non-crossing diagrams at level n."""
+    x = alg.zero(n, shading)
+    for pairing in noncrossing_pairings(2 * n):
+        x = x + alg.tl_element(pairing, shading)
+    return x
 
 
 def all_loops(alg, max_level):
@@ -137,7 +146,7 @@ def test_cyclic_commutativity(test_algebras):
 def test_big_T_fixed_by_rotation(a3, s4):
     for alg in (a3, s4):
         for n in (1, 2, 3, 4):
-            t = alg.big_T(n)
+            t = big_T(alg, n)
             assert (alg.rotate(t) - t).norm_inf() <= 1e-9
 
 
@@ -251,7 +260,7 @@ def test_unit_is_the_identity_diagram(a3, s4):
 
 def test_empty_diagram_is_level0_unit(a3, s4):
     for alg in (a3, s4):
-        t0 = alg.big_T(0)
+        t0 = big_T(alg, 0)
         assert (t0.level, t0.shading) == (0, EVEN)
         assert t0.terms == alg.unit(0, EVEN).terms
         assert t0.terms == {Loop(v, ()): 1.0
@@ -296,11 +305,11 @@ def test_crossing_pairing_rejected(a3):
 
 def test_big_T1_is_cup(test_algebras):
     for alg in test_algebras.values():
-        assert (alg.big_T(1) - alg.cup()).norm_inf() == 0.0
+        assert (big_T(alg, 1) - alg.cup()).norm_inf() == 0.0
 
 
 def test_big_T2_support_is_union_of_diagrams(a3):
-    t2 = a3.big_T(2)
+    t2 = big_T(a3, 2)
     parts = [a3.tl_element(p) for p in (((1, 2), (3, 4)), ((1, 4), (2, 3)))]
     union = set()
     for p in parts:

@@ -10,6 +10,21 @@ from graphloops.fock import (FockSpace, _vacuum_values, commutator_diagnostics,
 from graphloops.ncpairings import free_poisson_moments
 from graphloops.tangles import random_element
 from graphloops.traces import _phi_word
+from test_walk_order import path_trie
+
+
+def apply_word(space, edges, vec):
+    """c(e_1) ... c(e_n) vec, one letter at a time, right to left."""
+    for e in reversed(edges):
+        vec = space.c(e) @ vec
+    return vec
+
+
+def vacuum_expectation(space, op, v, word_len):
+    """<v, op v>, the diagonal entry at basis path v, exact only when the
+    truncation covers the operator's word length."""
+    assert word_len <= space.basis.depth
+    return float(op[v, v])
 
 
 def test_path_basis_a2_depth2(a2):
@@ -34,15 +49,16 @@ def test_path_basis_counts_match_adjacency(test_algebras):
 @pytest.mark.parametrize("depth", [0, 1, 4])
 def test_path_trie_matches_path_by_path_reference(a2, a3, s4, depth):
     # create, annihilate, the interior columns and the path weights read the
-    # trie arrays; rebuild each one path by path from `basis.paths`
+    # trie arrays; rebuild each one path by path from the tuple paths
     for alg in (a2, a3, s4):
         g, pf = alg.g, alg.pf
         space = FockSpace(alg, depth)
-        paths = space.basis.paths
+        paths = path_trie(alg, depth)[0]
         index = {p: i for i, p in enumerate(paths)}
         n = len(paths)
+        assert len(space.basis) == n
         for v in range(g.n_vertices):
-            assert paths[v] == (v, ()) and space.basis.vacuum_index(v) == v
+            assert paths[v] == (v, ())
         for e in g.oriented_edges:
             up, down = np.zeros((n, n)), np.zeros((n, n))
             for i, (start, edges) in enumerate(paths):
@@ -58,7 +74,7 @@ def test_path_trie_matches_path_by_path_reference(a2, a3, s4, depth):
             assert list(space.basis.interior_indices(m)) == want
         for i, (_, edges) in enumerate(paths):
             want = math.prod(pf.norm_sq(e) for e in edges)
-            assert space.basis.path_norm_sq(i) == pytest.approx(want, rel=1e-15)
+            assert space.basis.norm_sq[i] == pytest.approx(want, rel=1e-15)
         with pytest.raises(ValueError):
             space.phi_frame_operator(space.c(0), depth + 1)
 
@@ -76,7 +92,7 @@ def test_annihilate_create_relation(test_algebras):
                     assert worst <= 1e-15
                 else:
                     diag = prod.diagonal()
-                    for i, (start, edges) in enumerate(space.basis.paths):
+                    for i, (start, edges) in enumerate(path_trie(alg, 3)[0]):
                         head = g.src(edges[0]) if edges else start
                         if head == g.tgt(e) and len(edges) < 3:
                             assert diag[i] == pytest.approx(alg.pf.norm_sq(e))
@@ -85,8 +101,7 @@ def test_annihilate_create_relation(test_algebras):
 def test_c_adjoint_pairs_opposite_edge(a3):
     # <c(e) xi, eta> = <xi, c(e-opp) eta> in the weighted inner product
     space = FockSpace(a3, 4)
-    weights = np.array([space.basis.path_norm_sq(i)
-                        for i in range(len(space.basis))])
+    weights = space.basis.norm_sq
     rng = np.random.default_rng(31)
     xi = rng.standard_normal(len(space.basis))
     eta = rng.standard_normal(len(space.basis))
@@ -111,18 +126,18 @@ def test_vector_chain_matches_word_operator(a3, s4):
         for level in range(5):
             for shading in (EVEN, ODD):
                 for lp in alg.basis(level, shading):
-                    i = space.basis.vacuum_index(lp.base)
                     vacuum = np.zeros(len(space.basis))
-                    vacuum[i] = 1.0
-                    chain = space.apply_word(lp.edges, vacuum)[i]
-                    word = space.vacuum_expectation(
-                        space.c_word(lp.edges), lp.base, len(lp.edges))
+                    vacuum[lp.base] = 1.0
+                    chain = apply_word(space, lp.edges, vacuum)[lp.base]
+                    word = vacuum_expectation(
+                        space, space.c_word(lp.edges), lp.base, len(lp.edges))
                     assert abs(chain - word) <= 1e-12 * max(abs(chain),
                                                             abs(word)), lp
 
 
 def test_suffix_walk_matches_letter_by_letter_chains(test_algebras):
-    # the oracle's shared-suffix walk reads the same vectors apply_word does
+    # the oracle's shared-suffix walk reads the same vectors as one chain
+    # of matrix-vector products per loop
     for alg in test_algebras.values():
         space = FockSpace(alg, 6)
         loops = [lp for level in range(4) for shading in (EVEN, ODD)
@@ -131,7 +146,7 @@ def test_suffix_walk_matches_letter_by_letter_chains(test_algebras):
         for lp, value in zip(loops, got):
             vacuum = np.zeros(len(space.basis))
             vacuum[lp.base] = 1.0
-            assert value == space.apply_word(lp.edges, vacuum)[lp.base], lp
+            assert value == apply_word(space, lp.edges, vacuum)[lp.base], lp
 
 
 def test_vacuum_trace_oracle_fault_injection(a3):
@@ -161,10 +176,10 @@ def test_vacuum_moments_match_free_poisson(test_algebras):
         moments = free_poisson_moments(alg.pf.delta, depth // 2)
         for v in alg.g.vertices_of_parity(EVEN):
             vec = np.zeros(len(space.basis))
-            vec[space.basis.vacuum_index(v)] = 1.0
+            vec[v] = 1.0
             for n in range(1, depth // 2 + 1):
                 vec = cup @ vec
-                got = vec[space.basis.vacuum_index(v)]
+                got = vec[v]
                 assert got == pytest.approx(moments[n], rel=1e-9)
 
 
@@ -174,7 +189,7 @@ def test_vacuum_expectation_truncation_independent(a3):
     for depth in (4, 5):
         space = FockSpace(a3, depth)
         op = space.c_word(lp.edges)
-        val = space.vacuum_expectation(op, lp.base)
+        val = vacuum_expectation(space, op, lp.base, len(lp.edges))
         assert val == pytest.approx(_phi_word(a3, lp.edges), abs=1e-12)
 
 
@@ -203,23 +218,23 @@ def test_cup_decomposition_on_even_interior(a3):
     ident = sp.identity(n, format="csr")
     proj = sp.csr_matrix((n, n))
     for v in g.vertices_of_parity(EVEN):
-        i = space.basis.vacuum_index(v)
-        proj = proj + sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n))
+        proj = proj + sp.csr_matrix(([1.0], ([v], [v])), shape=(n, n))
     rhs = lower + pf.delta * ident + (ident - proj)
     def even_to_even(start, edges):
         end = g.tgt(edges[-1]) if edges else start
         return g.parity[start] == EVEN and g.parity[end] == EVEN
 
-    even_cols = [i for i, (start, edges) in enumerate(space.basis.paths)
+    paths = path_trie(a3, depth)[0]
+    even_cols = [i for i, (start, edges) in enumerate(paths)
                  if len(edges) <= depth - 2 and even_to_even(start, edges)]
-    even_rows = [i for i, (start, edges) in enumerate(space.basis.paths)
+    even_rows = [i for i, (start, edges) in enumerate(paths)
                  if even_to_even(start, edges)]
     diff = (cup - rhs).tocsc()[:, even_cols].tocsr()[even_rows, :]
     assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-9
 
 
 def _weighted_adjoint(space, op):
-    w = np.array([space.basis.path_norm_sq(i) for i in range(len(space.basis))])
+    w = space.basis.norm_sq
     dinv = sp.diags(1.0 / w)
     d = sp.diags(w)
     return (dinv @ op.conj().T @ d).tocsr()

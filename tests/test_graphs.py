@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from graphloops import (BipartiteGraph, GraphError, builtin_graph, load_graph,
-                        loops_at, perron_frobenius, EVEN, ODD)
+from graphloops import (BipartiteGraph, GraphError, LoopAlgebra, Loop,
+                        builtin_graph, load_graph, perron_frobenius, EVEN, ODD)
 
 
 def test_load_a2_smallest():
@@ -101,23 +101,22 @@ def test_sigma_values(a2, a3):
 
 
 def test_loops_at_examples(a2, a3):
-    g = a2.g
-    loops = loops_at(g, g.vertex("v"), 1)
-    assert loops == [(0, 1)]          # e e'
-    g3 = a3.g
-    loops = loops_at(g3, g3.vertex("m"), 1)
-    assert len(loops) == 2
+    assert a2.basis(1, EVEN) == [Loop(a2.g.vertex("v"), (0, 1))]   # e e'
+    m = a3.g.vertex("m")
+    assert a3.basis(1, EVEN) == [Loop(m, (0, 1)), Loop(m, (2, 3))]
 
 
 def test_loop_counts_match_adjacency_powers():
     # transfer-matrix oracle on every graph with <= 8 vertices, k <= 6
     for name in ("a2", "a3", "s4", "a5"):
         g = builtin_graph(name)
+        alg = LoopAlgebra(g, perron_frobenius(g))
         a2k = np.linalg.matrix_power(g.adjacency(), 2)
         power = np.eye(g.n_vertices)
         for k in range(0, 7):
+            bases = [lp.base for s in (EVEN, ODD) for lp in alg.basis(k, s)]
             for v in range(g.n_vertices):
-                assert len(loops_at(g, v, k)) == round(power[v, v])
+                assert bases.count(v) == round(power[v, v])
             power = power @ a2k
 
 

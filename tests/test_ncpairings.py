@@ -6,10 +6,16 @@ from hypothesis import given, settings, strategies as st
 from graphloops.ncpairings import (catalan, free_poisson_moments,
                                    indecomposable_dimension_series,
                                    is_noncrossing, moment_generating_series,
-                                   narayana, noncrossing_pairings,
-                                   phi_quadratic_residual)
+                                   narayana, noncrossing_pairings)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def phi_quadratic_residual(delta, z, nterms=80):
+    """|Phi - 1 - z(delta-1)Phi - z Phi^2| with Phi summed numerically at z."""
+    coeffs = moment_generating_series(delta, nterms)
+    phi = sum(c * z ** i for i, c in enumerate(coeffs))
+    return abs(phi - 1.0 - z * (delta - 1.0) * phi - z * phi * phi)
 
 
 def test_counts_small():

@@ -7,8 +7,8 @@ import pytest
 from graphloops import EVEN, ODD, Loop
 from graphloops.tangles import random_element
 from graphloops.traces import (_CHUNK, _phi_word, _phi_word_pairing,
-                               _phi_words, _sigma_table, _word_array,
-                               gram_psd_check, trace_k)
+                               _phi_words, _sigma_table, gram_psd_check,
+                               trace_k)
 
 
 def _kernel_matches_pairing(alg, max_len):
@@ -16,7 +16,7 @@ def _kernel_matches_pairing(alg, max_len):
     for level in range(max_len // 2 + 1):
         for shading in (EVEN, ODD):
             basis = alg.basis(level, shading)
-            got = _phi_words(_word_array(basis, 2 * level), sig)
+            got = _phi_words(alg.loop_words(level, shading)[1], sig)
             for lp, value in zip(basis, got):
                 want = _phi_word_pairing(alg, lp.edges)
                 assert abs(value - want) <= 1e-12 * abs(want), lp
@@ -45,7 +45,7 @@ def test_kernel_equals_recursion_bit_for_bit(test_algebras):
         for level in range(5):
             for shading in (EVEN, ODD):
                 basis = alg.basis(level, shading)
-                got = _phi_words(_word_array(basis, 2 * level),
+                got = _phi_words(alg.loop_words(level, shading)[1],
                                  _sigma_table(alg))
                 assert got.tolist() == [_phi_recursive(alg, lp.edges)
                                         for lp in basis]
@@ -110,7 +110,7 @@ def test_trace_k_of_empty_and_level_zero_elements(test_algebras):
 
 
 def test_batch_past_one_chunk_equals_hand_split(s4):
-    words = _word_array(s4.basis(4, EVEN), 8)
+    words = s4.loop_words(4, EVEN)[1]
     words = np.tile(words, (3 * _CHUNK // len(words) + 1, 1))
     assert len(words) > 2 * _CHUNK
     sig = _sigma_table(s4)
