@@ -159,8 +159,9 @@ def _padded(lists) -> np.ndarray:
                     dtype=np.intp).reshape(len(lists), width)
 
 
-def loop_from_tokens(g: BipartiteGraph, text: str, base: str | int | None = None) -> Loop:
-    """Parse `e1 e2' e2 e1'` style loop tokens (apostrophe = opposite)."""
+def loop_from_tokens(g: BipartiteGraph, text: str, base: str | None = None) -> Loop:
+    """Parse `e1 e2' e2 e1'` style loop tokens (apostrophe = opposite); a
+    level-0 loop needs `base`, a vertex name."""
     tokens = text.split()
     edges = tuple(g.oriented_edge_by_name(t) for t in tokens)
     if edges:
@@ -168,7 +169,7 @@ def loop_from_tokens(g: BipartiteGraph, text: str, base: str | int | None = None
     elif base is None:
         raise ValueError("a level-0 loop needs an explicit base vertex")
     else:
-        b = base if isinstance(base, int) else g.vertex(base)
+        b = g.vertex(base)
     for i, e in enumerate(edges):
         nxt = edges[(i + 1) % len(edges)] if edges else None
         if nxt is not None and g.tgt(e) != g.src(nxt):
@@ -240,8 +241,14 @@ class LoopAlgebra:
     def from_json_dict(self, doc: dict) -> Element:
         try:
             level, shading, rows = doc["level"], doc["shading"], doc["terms"]
-            terms = [(loop_from_tokens(self.g, row["loop"], row.get("base")),
-                      row["coeff"]) for row in rows]
+            terms = []
+            for row in rows:
+                base = row.get("base")
+                if base is not None and base not in self.g.vertex_names:
+                    raise ValueError("element JSON 'base' must name a vertex, "
+                                     f"not {base!r}")
+                terms.append((loop_from_tokens(self.g, row["loop"], base),
+                              row["coeff"]))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError("element JSON needs 'level', 'shading' and "
                              f"'terms' [{{loop, coeff}}]; bad: {exc}") from None

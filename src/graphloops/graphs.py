@@ -10,6 +10,8 @@ positively oriented edge ``2*i`` and its opposite ``2*i + 1``, so
 from __future__ import annotations
 
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,18 +203,24 @@ class BipartiteGraph:
 
 
 def _graph_document(spec):
-    """A graph document given as a dict, as inline JSON or as a file path."""
-    if isinstance(spec, str):
-        text = spec
-        if not spec.lstrip().startswith("{"):
-            with open(spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        spec = json.loads(text)
-    return spec
+    """A graph document given as a dict, a builtin graph's name, inline JSON
+    or a file path.  A builtin name wins over a file of that name; text that
+    is none of these reports `builtin_graph`'s error for the name."""
+    if not isinstance(spec, str):
+        return spec
+    try:
+        return builtin_graph(spec).to_json_dict()
+    except GraphError:
+        if spec.lstrip().startswith("{"):
+            return json.loads(spec)
+        if not os.path.isfile(spec):
+            raise
+    with open(spec, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def load_graph(spec) -> BipartiteGraph:
-    """Load a graph from a JSON document (dict, JSON string, or file path).
+    """Load a graph from a dict, builtin name, JSON string or file path.
 
     The graph alone: the document's optional `mu` block is PF data, which
     `load_pf` reads from the same document.
@@ -228,7 +236,7 @@ def load_graph(spec) -> BipartiteGraph:
 
 
 def load_pf(spec, tol: float = 1e-9) -> "PFData":
-    """PF data of a graph document (dict, JSON string, or file path).
+    """PF data of a graph given as a dict, builtin name, JSON string or path.
 
     An optional `mu` block is the eigenvector, checked by `pf_from_mu` to
     max(tol, 1e-9); without one, `perron_frobenius` solves to min(tol,
@@ -282,20 +290,24 @@ def _eigen_residual(a: np.ndarray, delta: float, mu: np.ndarray) -> float:
 def pf_from_mu(g: BipartiteGraph, mu: dict[str, float],
                tol: float = 1e-9) -> PFData:
     """Build PF data from a user-supplied eigenvector (the optional `mu`
-    block of the graph schema).  The eigen-equation is validated to `tol`
-    and the vector renormalized to min 1; delta is recovered as the Rayleigh
-    ratio."""
+    block of the graph schema).  Each value must be a finite number > 0 (not
+    a bool); the eigen-equation is validated to `tol` by `_eigen_residual` and
+    the vector renormalized to min 1; delta is recovered as the mean ratio
+    (A mu)_v / mu_v."""
     try:
-        vec = np.array([mu[name] for name in g.vertex_names], dtype=float)
+        values = [mu[name] for name in g.vertex_names]
     except (KeyError, TypeError) as exc:
         raise GraphError("mu override needs a number per vertex; "
                          f"bad: {exc}") from None
-    if np.any(vec <= 0):
-        raise GraphError("mu override must be strictly positive")
+    for name, x in zip(g.vertex_names, values):
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or not 0 < x <= sys.float_info.max):
+            raise GraphError("mu override needs a finite number > 0 per "
+                             f"vertex; bad: {name!r}: {x!r}")
+    vec = np.array(values, dtype=float)
     a = g.adjacency()
-    ratios = (a @ vec) / vec
-    delta = float(np.mean(ratios))
-    if float(np.max(np.abs(a @ vec - delta * vec))) > tol * float(np.max(vec)):
+    delta = float(np.mean((a @ vec) / vec))
+    if _eigen_residual(a, delta, vec) > tol:
         raise GraphError("mu override does not satisfy the eigen-equation")
     vec = vec / vec.min()
     return PFData(g, delta, tuple(float(x) for x in vec), tol)

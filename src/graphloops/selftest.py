@@ -1,8 +1,9 @@
 """Cross-module invariant suite run by the `selftest` CLI subcommand.
 
-Each check returns (name, worst_deviation, tolerance); the suite passes when
-every deviation is within its tolerance.  The same identities appear with
-wider sweeps in the pytest suite; this is the fast, embeddable version.
+Each check yields (name, worst_deviation) of an identity whose exact value
+is 0; the `selftest` subcommand passes when every deviation is within
+--tol.  The same identities appear with wider sweeps in the pytest suite;
+this is the fast, embeddable version.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ def _algebras():
         yield name, LoopAlgebra(g, perron_frobenius(g))
 
 
-def run_selftest(tol: float = 1e-9, seed: int = 11) -> list[dict]:
-    rows = []
-
-    def check(name, dev, tolerance=tol):
-        rows.append({"name": name, "deviation": float(dev),
-                     "tol": tolerance, "pass": dev <= tolerance})
-
+def run_selftest(seed: int = 11):
     rng = np.random.default_rng(seed)
     for name, alg in _algebras():
         delta = alg.pf.delta
@@ -43,26 +38,26 @@ def run_selftest(tol: float = 1e-9, seed: int = 11) -> list[dict]:
             c = random_element(alg, t + 1, shading, rng)
             lhs = alg.wedge(t, alg.wedge(t, a, b), c)
             rhs = alg.wedge(t, a, alg.wedge(t, b, c))
-            check(f"{name}: wedge_{t} associativity", (lhs - rhs).norm_inf())
+            yield f"{name}: wedge_{t} associativity", (lhs - rhs).norm_inf()
             anti = (alg.involution(alg.wedge(t, a, b))
                     - alg.wedge(t, alg.involution(b), alg.involution(a)))
-            check(f"{name}: wedge_{t} anti-homomorphism", anti.norm_inf())
+            yield f"{name}: wedge_{t} anti-homomorphism", anti.norm_inf()
 
         # cyclic commutativity via the rotation primitive
         a = random_element(alg, 1, EVEN, rng)
         b = random_element(alg, 2, EVEN, rng)
         lhs = alg.rotate(alg.wedge(0, a, b), times=a.level)
-        check(f"{name}: rotation cyclic commutativity",
-              (lhs - alg.wedge(0, b, a)).norm_inf())
+        yield (f"{name}: rotation cyclic commutativity",
+               (lhs - alg.wedge(0, b, a)).norm_inf())
 
         # unit laws
         for k in (1, 2):
             shading = EVEN if k % 2 == 0 else ODD
             u = alg.unit(k, shading)
             x = random_element(alg, k + 1, shading, rng)
-            check(f"{name}: unit law grade {k}",
-                  max((alg.wedge(k, u, x) - x).norm_inf(),
-                      (alg.wedge(k, x, u) - x).norm_inf()))
+            yield (f"{name}: unit law grade {k}",
+                   max((alg.wedge(k, u, x) - x).norm_inf(),
+                       (alg.wedge(k, x, u) - x).norm_inf()))
 
         # vertex functional: pairing vs recursion, loops up to level 3
         worst = 0.0
@@ -73,7 +68,7 @@ def run_selftest(tol: float = 1e-9, seed: int = 11) -> list[dict]:
                     worst = max(worst, abs(
                         phi_vertex(alg, x, lp.base, "pairing")
                         - phi_vertex(alg, x, lp.base, "recursive")))
-        check(f"{name}: pairing vs recursive functional", worst)
+        yield f"{name}: pairing vs recursive functional", worst
 
         # trace property and Markov
         for k in (2, 3):
@@ -82,15 +77,15 @@ def run_selftest(tol: float = 1e-9, seed: int = 11) -> list[dict]:
             b = random_element(alg, k, shading, rng)
             d = (trace_k(alg, k, alg.wedge(k, a, b))
                  - trace_k(alg, k, alg.wedge(k, b, a)))
-            check(f"{name}: trace property grade {k}", d.norm_inf())
+            yield f"{name}: trace property grade {k}", d.norm_inf()
             e_k = alg.jones_projection(k, tower=True)
             y = random_element(alg, k - 1, -shading, rng)
             lhs = trace_k(alg, k, alg.wedge(k, alg.include_step(y), e_k)).scale(delta)
             rhs = trace_k(alg, k - 1, y)
-            check(f"{name}: Markov property grade {k}", (lhs - rhs).norm_inf())
+            yield f"{name}: Markov property grade {k}", (lhs - rhs).norm_inf()
             ee = alg.wedge(k, e_k, e_k) - e_k
-            check(f"{name}: Jones idempotent grade {k}",
-                  max(ee.norm_inf(), (alg.involution(e_k) - e_k).norm_inf()))
+            yield (f"{name}: Jones idempotent grade {k}",
+                   max(ee.norm_inf(), (alg.involution(e_k) - e_k).norm_inf()))
 
         # moments against the loop algebra
         moments = free_poisson_moments(delta, 4)
@@ -101,49 +96,47 @@ def run_selftest(tol: float = 1e-9, seed: int = 11) -> list[dict]:
         for n in range(1, 5):
             power = alg.wedge(0, power, cup)
             worst = max(worst, abs(trace_k(alg, 0, power)[v0] - moments[n]))
-        check(f"{name}: one-cup moments vs free Poisson", worst)
+        yield f"{name}: one-cup moments vs free Poisson", worst
 
         # tangle engine: circle removal, zigzags, diagram oracle
         x = random_element(alg, 2, EVEN, rng)
         prog = _circle_program(2, EVEN)
-        check(f"{name}: cap after cup = delta",
-              (eval_tangle(alg, prog, {"a": x}) - x.scale(delta)).norm_inf())
+        yield (f"{name}: cap after cup = delta",
+               (eval_tangle(alg, prog, {"a": x}) - x.scale(delta)).norm_inf())
         prog = _zigzag_program(2, EVEN)
-        check(f"{name}: zigzag identity",
-              (eval_tangle(alg, prog, {"a": x}) - x).norm_inf())
+        yield (f"{name}: zigzag identity",
+               (eval_tangle(alg, prog, {"a": x}) - x).norm_inf())
         worst = 0.0
         for pairing in noncrossing_pairings(4):
             got = eval_tangle(alg, diagram_program(pairing, EVEN), {})
             worst = max(worst, (got - alg.tl_element(pairing)).norm_inf())
-        check(f"{name}: diagram programs vs loop formula", worst)
+        yield f"{name}: diagram programs vs loop formula", worst
         a = random_element(alg, 1, EVEN, rng)
         b = random_element(alg, 1, EVEN, rng)
         got = eval_tangle(alg, wedge_program(1, 1, 1, EVEN), {"a": a, "b": b})
-        check(f"{name}: tangle wedge_1 vs direct",
-              (got - alg.wedge(1, a, b)).norm_inf())
+        yield (f"{name}: tangle wedge_1 vs direct",
+               (got - alg.wedge(1, a, b)).norm_inf())
         got = trace0_via_tangles(alg, b)
-        check(f"{name}: tangle trace vs direct",
-              (got - trace_k(alg, 0, b)).norm_inf())
+        yield (f"{name}: tangle trace vs direct",
+               (got - trace_k(alg, 0, b)).norm_inf())
         got = eval_tangle(alg, rotation_program(1, EVEN), {"a": a})
-        check(f"{name}: rotation primitive vs loop formula",
-              (got - alg.rotate(a)).norm_inf())
+        yield (f"{name}: rotation primitive vs loop formula",
+               (got - alg.rotate(a)).norm_inf())
 
         # positivity
         rep = gram_psd_check(alg, 2)
-        check(f"{name}: Gram positivity level 2", 0.0 if rep["pass"] else 1.0)
+        yield f"{name}: Gram positivity level 2", 0.0 if rep["pass"] else 1.0
 
         # Fock oracle
         rep = oracle_check_trace(alg, max_len=4)
-        check(f"{name}: Fock vacuum trace oracle", rep["max_deviation"])
+        yield f"{name}: Fock vacuum trace oracle", rep["max_deviation"]
         space = FockSpace(alg, 8)
         for t in (0, 1):
             shading = EVEN if t % 2 == 0 else ODD
             a = random_element(alg, t + 1, shading, rng)
             b = random_element(alg, t + 1, shading, rng)
-            check(f"{name}: operator homomorphism grade {t}",
-                  homomorphism_residual(alg, t, a, b, space))
-
-    return rows
+            yield (f"{name}: operator homomorphism grade {t}",
+                   homomorphism_residual(alg, t, a, b, space))
 
 
 def _circle_program(level, shading):

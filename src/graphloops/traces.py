@@ -235,32 +235,41 @@ def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
     """Loop basis at (v, k) and the positive-form Gram
     G[x, y] = mu(v) phi_v(dagger(x) wedge_0 y)."""
     base, words = alg.loop_words(k, alg.g.parity[v])
-    base, words = base[base == v], words[base == v]
+    words = words[base == v]
+    return (_loops(base[base == v], words),
+            _gram(alg, v, words, _sigma_table(alg, sigma)))
+
+
+def _gram(alg: LoopAlgebra, v: int, words: np.ndarray,
+          sigmas: np.ndarray) -> np.ndarray:
+    """The Gram of the loops `words`, all based at v."""
     n = len(words)
     pairs = np.concatenate([np.repeat(words[:, ::-1] ^ 1, n, axis=0),
                             np.tile(words, (n, 1))], axis=1)
-    mat = alg.pf.mu[v] * _phi_words(pairs, _sigma_table(alg, sigma))
-    return _loops(base, words), mat.reshape(n, n)
+    return (alg.pf.mu[v] * _phi_words(pairs, sigmas)).reshape(n, n)
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
                    sigma=None) -> dict:
-    """Per-vertex Gram spectra at level k.
+    """Per-vertex Gram spectra at level k, from one walk of the loops.
 
     PASS iff every eigenvalue >= -1e-8; for connected graphs with delta > 1
     the form must also be strictly positive (min eigenvalue > 1e-10).
     """
     report = {"level": k, "vertices": {}, "pass": True}
     faithful_required = alg.pf.delta > 1.0 + 1e-12
+    base, words = alg.loop_words(k, shading)
+    sigmas = _sigma_table(alg, sigma)
     for v in alg.g.vertices_of_parity(shading):
-        basis, mat = gram_matrix(alg, v, k, sigma)
-        if not basis:
+        at_v = words[base == v]
+        if not len(at_v):
             continue
+        mat = _gram(alg, v, at_v, sigmas)
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         min_eig = float(eigs[0])
         ok = min_eig >= -1e-8 and (not faithful_required or min_eig > 1e-10)
         report["vertices"][alg.g.vertex_names[v]] = {
-            "dim": len(basis), "min_eig": min_eig, "pass": ok,
+            "dim": len(at_v), "min_eig": min_eig, "pass": ok,
         }
         report["pass"] = report["pass"] and ok
     return report

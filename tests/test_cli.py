@@ -164,6 +164,16 @@ NAN_COEFF = {**TEXT_COEFF, "terms": [{"loop": "e1 e1'", "coeff": float("nan")}]}
 INF_COEFF = {**TEXT_COEFF, "terms": [{"loop": "e1 e1'", "coeff": float("inf")}]}
 BOOL_LEVEL = {**TEXT_COEFF, "level": True, "terms": [{"loop": "e1 e1'", "coeff": 1.0}]}
 NEGATIVE_LEVEL = {"level": -1, "shading": "+", "terms": []}
+# a level-0 term names its base vertex; a3 has three, so 5 is out of range,
+# -1 would index the last vertex and true would read as vertex 1
+INT_BASE, NEGATIVE_BASE, BOOL_BASE = (
+    {"level": 0, "shading": "+",
+     "terms": [{"loop": "", "base": base, "coeff": 1.0}]}
+    for base in (5, -1, True))
+# JSON reads 1e400 as inf
+NAN_MU, INF_MU, BOOL_MU = (
+    {"vertices": A2_VERTICES, "edges": A2_EDGES, "mu": {"v": value, "w": 1}}
+    for value in (float("nan"), float("inf"), True))
 
 
 @pytest.mark.parametrize("command, doc, named", [
@@ -189,12 +199,24 @@ NEGATIVE_LEVEL = {"level": -1, "shading": "+", "terms": []}
     ("tangle", BOOL_LEVEL, "'level'"),
     ("tangle", NEGATIVE_LEVEL, "'level'"),
     ("vertex", None, "'q'"),
+    ("trace", INT_BASE, "'base'"),
+    ("trace", NEGATIVE_BASE, "'base'"),
+    ("trace", BOOL_BASE, "'base'"),
+    ("tangle", INT_BASE, "'base'"),
+    ("tangle", NEGATIVE_BASE, "'base'"),
+    ("tangle", BOOL_BASE, "'base'"),
+    ("graph", NAN_MU, "mu override"),
+    ("graph", INF_MU, "mu override"),
+    ("graph", BOOL_MU, "mu override"),
 ], ids=["vertex-without-parity", "edge-without-to", "top-level-list",
         "list-vertex-name", "mu-without-vertex", "element-without-shading",
         "text-coeff", "text-level", "nan-coeff", "infinite-coeff",
         "bool-level", "negative-level", "inputs-without-shading",
         "inputs-text-coeff", "inputs-nan-coeff", "inputs-infinite-coeff",
-        "inputs-bool-level", "inputs-negative-level", "unknown-vertex"])
+        "inputs-bool-level", "inputs-negative-level", "unknown-vertex",
+        "int-base", "negative-base", "bool-base", "inputs-int-base",
+        "inputs-negative-base", "inputs-bool-base", "nan-mu", "infinite-mu",
+        "bool-mu"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, named):
     path = tmp_path / "doc.json"
     if command == "graph":
@@ -238,6 +260,92 @@ def test_mu_block_is_read_inline_and_from_a_file(tmp_path, capsys):
     delta = next(r for r in reports[0]["rows"] if r["name"] == "delta")
     assert delta["value"] == render_number(pf_from_mu(g, doc["mu"]).delta)
     assert delta["value"] != render_number(perron_frobenius(g).delta)
+
+
+def test_nan_in_a_checked_moment_fails(monkeypatch, capsys):
+    # max() drops a NaN that follows a number, so a verdict taken as the
+    # largest error would pass this table
+    from graphloops.ncpairings import free_poisson_moments
+
+    def narayana_with_nan(delta, nmax, method="recursion"):
+        moments = free_poisson_moments(delta, nmax, method)
+        if method == "narayana":
+            moments[2] = float("nan")
+        return moments
+
+    monkeypatch.setattr("graphloops.cli.free_poisson_moments",
+                        narayana_with_nan)
+    code, out = run_cli(capsys, "moments", "--graph", "a3", "--n", "4",
+                        "--fock-n", "2")
+    rows = {r["name"]: r["value"] for r in json.loads(out)["rows"]}
+    assert rows["m[2] narayana"] == "nan"
+    assert rows["all_agree"] == "0"
+    assert code == 1
+
+
+def test_nan_pf_residual_fails_graph(monkeypatch, capsys):
+    monkeypatch.setattr("graphloops.graphs.PFData.residual",
+                        lambda self: float("nan"))
+    code, out = run_cli(capsys, "graph", "--graph", "a2")
+    rows = {r["name"]: r["value"] for r in json.loads(out)["rows"]}
+    assert rows["pf_residual"] == "nan"
+    assert code == 1
+
+
+@pytest.mark.parametrize("tol, code, all_pass", [
+    ("1e-9", 0, "1"),
+    ("1e-300", 1, "0"),        # some deviations are rounding-sized, not 0
+])
+def test_selftest_verdict(capsys, tol, code, all_pass):
+    got, out = run_cli(capsys, "selftest", "--tol", tol)
+    rows = json.loads(out)["rows"]
+    assert rows[-1]["name"] == "all_pass"
+    assert rows[-1]["value"] == all_pass
+    assert got == code
+
+
+A2_DIGEST, A3_DIGEST, S4_DIGEST = ("f7a8fedeb2993568", "7f771a60eeff2598",
+                                   "dad0692b3fc183c6")
+# command -> (argv, parameters, seed, graph digest); PROGRAM and INPUTS
+# stand for files the test writes
+REPORT_HEADERS = {
+    "graph": (["--graph", "a3"], {"graph": "a3"}, None, A3_DIGEST),
+    "moments": (["--graph", "a3", "--n", "3", "--fock-n", "2"],
+                {"graph": "a3", "n": 3, "fock_n": 2}, None, A3_DIGEST),
+    "trace": (["--graph", "a3", "--loop", "e1 e1'"],
+              {"graph": "a3", "k": 0}, None, A3_DIGEST),
+    "tangle": (["--graph", "a3", "--program", "PROGRAM", "--inputs", "INPUTS"],
+               {"graph": "a3", "program": "double", "out_level": 1}, None,
+               A3_DIGEST),
+    "tower": (["--graph", "a3", "--k", "2", "--seed", "5"],
+              {"graph": "a3", "k": 2}, 5, A3_DIGEST),
+    "fock": (["--graph", "a2", "--max-len", "2", "--depth", "4"],
+             {"graph": "a2", "max_len": 2, "depth": 4}, None, A2_DIGEST),
+    "mc": (["--graph", "a2", "--loop", "e e'", "--N", "6", "--M", "6",
+            "--samples", "4", "--probes", "2", "--seed", "3"],
+           {"graph": "a2", "loop": "e e'", "N": 6, "M": 6, "samples": 4,
+            "probes": 2}, 3, A2_DIGEST),
+    "freedim": (["--graph", "s4", "--n", "2"], {"graph": "s4", "n": 2}, None,
+                S4_DIGEST),
+    "selftest": (["--seed", "7"], {"tol": 1e-9}, 7, A2_DIGEST),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_HEADERS))
+def test_report_header(tmp_path, capsys, command):
+    argv, parameters, seed, digest = REPORT_HEADERS[command]
+    files = {"PROGRAM": tmp_path / "double.tgl", "INPUTS": tmp_path / "in.json"}
+    files["PROGRAM"].write_text("tangle double(x: 1+) -> 1+ {\n"
+                                "  load x;\n  cup 1+;\n  cap 1;\n}\n")
+    files["INPUTS"].write_text(json.dumps({
+        "x": {"level": 1, "shading": "+",
+              "terms": [{"loop": "e1 e1'", "coeff": 1.0}]}}))
+    argv = [str(files.get(a, a)) for a in argv]
+    code, out = run_cli(capsys, command, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["command"], doc["parameters"], doc["seed"],
+            doc["graph_digest"]) == (command, parameters, seed, digest)
 
 
 def test_mc_large_blocks_run_matrix_free():

@@ -180,6 +180,24 @@ def test_gram_psd_and_faithful(test_algebras):
             assert report["pass"], (name, k, report)
 
 
+def test_gram_psd_check_slices_one_walk_per_vertex():
+    # the check walks the loops of a shading once and slices them by base
+    # vertex; each slice must give the spectrum of `gram_matrix` there
+    from graphloops import LoopAlgebra, builtin_graph, perron_frobenius
+    g = builtin_graph("a6")
+    alg = LoopAlgebra(g, perron_frobenius(g))
+    for k in (1, 2, 3):
+        for shading in (EVEN, ODD):
+            report = gram_psd_check(alg, k, shading)
+            assert report["pass"]
+            for v in g.vertices_of_parity(shading):
+                basis, mat = gram_matrix(alg, v, k)
+                row = report["vertices"][g.vertex_names[v]]
+                assert row["dim"] == len(basis)
+                assert row["min_eig"] == np.linalg.eigvalsh(
+                    0.5 * (mat + mat.T))[0]
+
+
 def test_gram_fault_injection_fails(a3):
     # flip the sign of the positively oriented sigmas only; a global sign
     # flip would cancel in the even products, so the fault must break the
