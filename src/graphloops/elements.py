@@ -133,6 +133,21 @@ def _merge(level: int, shading: int, base, words, coeff) -> Element:
     return Element(level, shading, rows[:, 0], rows[:, 1:], total)
 
 
+def _join(key_a: np.ndarray, key_b: np.ndarray):
+    """(ia, ib) for every pair with key_a[ia] == key_b[ib], a-outer and
+    b-inner in b's order: one `np.unique` inverse and a stable argsort."""
+    distinct, group = np.unique(np.concatenate((key_a, key_b)),
+                                return_inverse=True)
+    ga, gb = group[:len(key_a)], group[len(key_a):]
+    by_group = np.argsort(gb, kind="stable")
+    count = np.bincount(gb, minlength=len(distinct))
+    start = np.cumsum(count) - count
+    n_match = count[ga]
+    ia = np.repeat(np.arange(len(ga)), n_match)
+    offset = np.arange(len(ia)) - np.repeat(np.cumsum(n_match) - n_match, n_match)
+    return ia, by_group[start[ga[ia]] + offset]
+
+
 def _frame(words: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
     """Close a frame of k strings on every row: 0 where the last k letters
     do not mirror the first k, else the product of table[e] over the first
@@ -161,15 +176,16 @@ def _padded(lists) -> np.ndarray:
 
 def loop_from_tokens(g: BipartiteGraph, text: str, base: str | None = None) -> Loop:
     """Parse `e1 e2' e2 e1'` style loop tokens (apostrophe = opposite); a
-    level-0 loop needs `base`, a vertex name."""
+    level-0 loop needs `base`, a vertex name, and any other loop starts at
+    its `base` if one is given."""
     tokens = text.split()
     edges = tuple(g.oriented_edge_by_name(t) for t in tokens)
-    if edges:
-        b = g.src(edges[0])
-    elif base is None:
+    if not edges and base is None:
         raise ValueError("a level-0 loop needs an explicit base vertex")
-    else:
-        b = g.vertex(base)
+    b = g.src(edges[0]) if edges else g.vertex(base)
+    if base is not None and g.vertex(base) != b:
+        raise ValueError(f"loop {text!r} starts at {g.vertex_names[b]!r}, "
+                         f"not at its base {base!r}")
     for i, e in enumerate(edges):
         nxt = edges[(i + 1) % len(edges)] if edges else None
         if nxt is not None and g.tgt(e) != g.src(nxt):
@@ -321,17 +337,8 @@ class LoopAlgebra:
         stem = 2 * a.level - t
         tail = a.words[:, stem:]
         head = tail[:, ::-1] ^ 1
-        keys = np.concatenate((_row_keys(a.base, head)[1],
-                               _row_keys(b.base, b.words[:, :t])[1]))
-        distinct, group = np.unique(keys, return_inverse=True)
-        ga, gb = group[:len(a.base)], group[len(a.base):]
-        by_group = np.argsort(gb, kind="stable")
-        count = np.bincount(gb, minlength=len(distinct))
-        start = np.cumsum(count) - count
-        n_match = count[ga]
-        ia = np.repeat(np.arange(len(ga)), n_match)
-        offset = np.arange(len(ia)) - np.repeat(np.cumsum(n_match) - n_match, n_match)
-        ib = by_group[start[ga[ia]] + offset]
+        ia, ib = _join(_row_keys(a.base, head)[1],
+                       _row_keys(b.base, b.words[:, :t])[1])
         w = _frame(np.concatenate((head, tail), axis=1), t, self._sigma[-1])
         return _merge(a.level + b.level - t, a.shading, a.base[ia],
                       np.concatenate((a.words[ia, :stem], b.words[ib, t:]), axis=1),

@@ -125,7 +125,7 @@ def free_poisson_moments(delta: float, nmax: int,
     closed_form:  Taylor coefficients of the generating function
     narayana:     m_n = sum_k Narayana(n,k) delta^k
     """
-    if delta < 1.0:
+    if not delta >= 1.0:                # a NaN delta fails this too
         raise ValueError("delta must be >= 1")
     if nmax > 30:
         raise ValueError("nmax capped at 30")

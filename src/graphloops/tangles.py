@@ -2,13 +2,18 @@
 
 Programs are rectangular presentations: a boundary word of oriented edges is
 transformed layer by layer.  Boundary words stay closed loops throughout, so
-the evaluator state is a weighted sum of loops.  The layer semantics carry
+the evaluator state is an element, a weighted sum of loops held as arrays.
+Each layer move is coded here and calls no `LoopAlgebra` product, turn or
+frame, so the tangle route checks those independently; it shares only the
+row bookkeeping (`_merge`, `_expand`, `_join`).  The layer semantics carry
 the curvature weights of the graph planar algebra:
 
 * ``cap i``   contracts boundary points i, i+1; a basis loop survives iff
   they carry an edge and its opposite, and gains the factor sigma(edge at i).
 * ``cup i``   inserts (e, e-opposite) at position i summed over the edges e
-  leaving the region vertex there, each with factor sigma(e).
+  leaving the region vertex there, each with factor sigma(e).  Its shading
+  is read only on the empty boundary: the cup starts from the vertices of
+  that shading, or of the output's if it has none.
 * ``tensor``  juxtaposes an input at the right end, matching its base vertex
   to the right region of the current word.
 * ``rotate``  is the one-degree counterclockwise rotation primitive.
@@ -23,8 +28,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graphs import EVEN, ODD
-from .elements import Element, Loop, LoopAlgebra, _merge
+from .elements import Element, LoopAlgebra, _expand, _join, _merge
 
 _SHADING = {"+": EVEN, "-": ODD}
 _SHADING_NAME = {EVEN: "+", ODD: "-"}
@@ -221,7 +228,12 @@ def parse_tangle(text: str) -> TangleProgram:
 
 def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
                 inputs: dict[str, Element]) -> Element:
-    """Evaluate a program on elements; multilinear in the inputs."""
+    """Evaluate a program on elements; multilinear in the inputs.
+
+    The state is an element, None while the boundary is empty; each layer
+    is one array move on its rows followed by `_merge`.  Its loops stay
+    closed, so a row's right region is its base vertex, and only `rotate`
+    moves a base."""
     for slot in prog.inputs:
         x = inputs.get(slot.name)
         if x is None:
@@ -231,79 +243,57 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
                              f"{x.level}{_SHADING_NAME[x.shading]}, declared "
                              f"{slot.level}{_SHADING_NAME[slot.shading]}")
 
-    g, pf = alg.g, alg.pf
-    state: dict[Loop | None, float] = {None: 1.0}   # None = empty, free base
-
-    def insert_pair(lp, coeff, pos, shading, out):
-        if lp is None:
-            base_vertices = g.vertices_of_parity(shading or prog.out_shading)
-            for v in base_vertices:
-                for e in g.edges_from(v):
-                    key = Loop(v, (e, g.opp(e)))
-                    out[key] = out.get(key, 0.0) + coeff * pf.sigma(e)
-            return
-        rv = lp.base if pos == 1 else g.tgt(lp.edges[pos - 2])
-        for e in g.edges_from(rv):
-            edges = lp.edges[: pos - 1] + (e, g.opp(e)) + lp.edges[pos - 1:]
-            base = g.src(edges[0])
-            key = Loop(base, edges)
-            out[key] = out.get(key, 0.0) + coeff * pf.sigma(e)
-
-    for layer in prog.layers:
-        new: dict[Loop | None, float] = {}
+    state: Element | None = None
+    for n, layer in enumerate(prog.layers, start=1):
+        points = 0 if state is None else 2 * state.level
+        p = layer.arg
+        if (layer.kind == "cup" and not 1 <= p <= points + 1
+                or layer.kind == "cap" and not 1 <= p <= points - 1
+                or layer.kind == "rotate" and points < 2):
+            what = layer.kind if p is None else f"{layer.kind} {p}"
+            raise ValueError(f"layer {n} ({what}) does not fit a boundary "
+                             f"of {points} points")
         if layer.kind in ("load", "tensor"):
             x = inputs[layer.arg]
-            for lp, c in state.items():
-                for xl, xc in x.terms.items():
-                    if lp is None:
-                        key = xl
-                    else:
-                        right = g.tgt(lp.edges[-1]) if lp.edges else lp.base
-                        if right != xl.base:
-                            continue
-                        key = Loop(lp.base, lp.edges + xl.edges)
-                    new[key] = new.get(key, 0.0) + c * xc
+            if state is None:
+                state = x
+                continue
+            ia, ib = _join(state.base, x.base)
+            base, coeff = state.base[ia], state.coeff[ia] * x.coeff[ib]
+            words = np.concatenate((state.words[ia], x.words[ib]), axis=1)
         elif layer.kind == "cap":
-            i = layer.arg
-            for lp, c in state.items():
-                if lp is None or len(lp.edges) < i + 1:
-                    raise ValueError("cap position beyond boundary")
-                e, f = lp.edges[i - 1], lp.edges[i]
-                if f != g.opp(e):
-                    continue
-                edges = lp.edges[: i - 1] + lp.edges[i + 1:]
-                base = g.src(edges[0]) if edges else lp.base
-                key = Loop(base, edges)
-                new[key] = new.get(key, 0.0) + c * pf.sigma(e)
+            w = state.words
+            keep = np.flatnonzero(w[:, p] == w[:, p - 1] ^ 1)
+            base, words = state.base[keep], np.delete(w[keep], (p - 1, p), axis=1)
+            coeff = state.coeff[keep] * alg._sigma[1][w[keep, p - 1]]
         elif layer.kind == "cup":
-            for lp, c in state.items():
-                insert_pair(lp, c, layer.arg, layer.shading, new)
+            if state is None:       # empty boundary: level 0 at each vertex
+                shading = layer.shading or prog.out_shading
+                base, words = alg.loop_words(0, shading)
+                state = _merge(0, shading, base, words, np.ones(len(base)))
+            w = state.words
+            r, e = _expand(alg._out, state.base if p == 1 else alg._tgt[w[:, p - 2]])
+            base, coeff = state.base[r], state.coeff[r] * alg._sigma[1][e]
+            words = np.column_stack((w[r, :p - 1], e, e ^ 1, w[r, p - 1:]))
         else:                                   # rotate
-            for lp, c in state.items():
-                if lp is None or len(lp.edges) < 2:
-                    raise ValueError("rotate needs at least one degree")
-                factor = pf.mu[lp.base] / pf.mu[g.tgt(lp.edges[1])]
-                key = Loop(g.tgt(lp.edges[1]), lp.edges[2:] + lp.edges[:2])
-                new[key] = new.get(key, 0.0) + c * factor
-        state = new
+            words = np.roll(state.words, -2, axis=1)
+            base = alg._src[words[:, 0]]
+            coeff = state.coeff * (alg._mu[state.base] / alg._mu[base])
+        state = _merge(words.shape[1] // 2, state.shading, base, words, coeff)
 
-    terms: dict[Loop, float] = {}
-    for lp, c in state.items():
-        if lp is None:
-            raise ValueError("program produced no boundary")
-        if len(lp.edges) != 2 * prog.out_level:
-            raise ValueError("evaluation level mismatch")
-        if g.parity[lp.base] != prog.out_shading:
-            continue
-        terms[lp] = terms.get(lp, 0.0) + c
-    return alg.element(terms, prog.out_level, prog.out_shading)
+    if state is None:
+        raise ValueError("program produced no boundary")
+    if state.level != prog.out_level:
+        raise ValueError("evaluation level mismatch")
+    if state.shading != prog.out_shading:
+        return alg.zero(prog.out_level, prog.out_shading)
+    return state
 
 
 def equivalence_check(alg: LoopAlgebra, prog_a: TangleProgram,
                       prog_b: TangleProgram, trials: int = 8,
                       seed: int = 7, tol: float = 1e-9):
     """Spot-check two programs on random inputs; (ok, worst) report."""
-    import numpy as np
     if [(s.level, s.shading) for s in prog_a.inputs] != \
        [(s.level, s.shading) for s in prog_b.inputs]:
         raise ValueError("programs declare different inputs")
@@ -404,6 +394,6 @@ def trace0_via_tangles(alg: LoopAlgebra, x: Element):
     for pairing in noncrossing_pairings(2 * x.level):
         prog = closure_program(pairing, x.level, x.shading)
         res = eval_tangle(alg, prog, {"a": x})
-        for lp, c in res.terms.items():
-            values[lp.base] = values.get(lp.base, 0.0) + c
+        for v, c in zip(res.base.tolist(), res.coeff.tolist()):
+            values[v] = values.get(v, 0.0) + c
     return CenterValue(x.shading, values)

@@ -76,6 +76,39 @@ def test_fock_counts_reach_the_benchmark():
         assert doc["counts"].get(key, 0) > 0, key
 
 
+TANGLE_REACH = """
+import json, random, sys
+sys.path.insert(0, sys.argv[1])
+import graphloops, graphloops.cli
+import spans, workloads
+recorder = spans.Recorder()
+recorder.install()
+from graphloops import LoopAlgebra, builtin_graph, perron_frobenius
+from graphloops.tangles import eval_tangle, parse_tangle
+g = builtin_graph("s4")
+alg = LoopAlgebra(g, perron_frobenius(g))
+rng = random.Random(1)
+prog = parse_tangle(workloads.tangle_program(rng, rounds=1))
+eval_tangle(alg, prog, {name: alg.from_json_dict(workloads._element(3, rng))
+                        for name in ("x", "y")})
+doc = recorder.to_json()
+print(json.dumps({"counts": doc["counts"], "hook_errors": doc["hook_errors"]}))
+"""
+
+
+def test_tangle_count_reaches_the_benchmark():
+    # tangles.loops_out comes from a hook on tangles.eval_tangle that reads
+    # the result's terms; renaming the function drops the count, and a
+    # result the hook cannot read shows as a hook error
+    proc = subprocess.run([sys.executable, "-c", TANGLE_REACH,
+                           str(ROOT / "perfbench")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["hook_errors"] == {}
+    assert doc["counts"].get("tangles.loops_out", 0) > 0
+
+
 REACH = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

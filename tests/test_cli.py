@@ -170,6 +170,9 @@ INT_BASE, NEGATIVE_BASE, BOOL_BASE = (
     {"level": 0, "shading": "+",
      "terms": [{"loop": "", "base": base, "coeff": 1.0}]}
     for base in (5, -1, True))
+# "e1 e1'" starts at m, so a base "l" contradicts its loop
+WRONG_BASE = {"level": 1, "shading": "+",
+              "terms": [{"loop": "e1 e1'", "base": "l", "coeff": 1.0}]}
 # JSON reads 1e400 as inf
 NAN_MU, INF_MU, BOOL_MU = (
     {"vertices": A2_VERTICES, "edges": A2_EDGES, "mu": {"v": value, "w": 1}}
@@ -205,6 +208,8 @@ NAN_MU, INF_MU, BOOL_MU = (
     ("tangle", INT_BASE, "'base'"),
     ("tangle", NEGATIVE_BASE, "'base'"),
     ("tangle", BOOL_BASE, "'base'"),
+    ("trace", WRONG_BASE, "its base 'l'"),
+    ("tangle", WRONG_BASE, "its base 'l'"),
     ("graph", NAN_MU, "mu override"),
     ("graph", INF_MU, "mu override"),
     ("graph", BOOL_MU, "mu override"),
@@ -215,7 +220,8 @@ NAN_MU, INF_MU, BOOL_MU = (
         "inputs-text-coeff", "inputs-nan-coeff", "inputs-infinite-coeff",
         "inputs-bool-level", "inputs-negative-level", "unknown-vertex",
         "int-base", "negative-base", "bool-base", "inputs-int-base",
-        "inputs-negative-base", "inputs-bool-base", "nan-mu", "infinite-mu",
+        "inputs-negative-base", "inputs-bool-base", "wrong-base",
+        "inputs-wrong-base", "nan-mu", "infinite-mu",
         "bool-mu"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, named):
     path = tmp_path / "doc.json"

@@ -322,6 +322,9 @@ def test_loop_token_roundtrip(a3):
     assert loop_tokens(a3.g, lp) == "e1 e1' e2 e2'"
     with pytest.raises(ValueError):
         loop_from_tokens(a3.g, "e1 e2")          # not composable
+    assert loop_from_tokens(a3.g, "e1 e1' e2 e2'", "m") == lp
+    with pytest.raises(ValueError, match="its base 'l'"):
+        loop_from_tokens(a3.g, "e1 e1' e2 e2'", "l")  # starts at m
 
 
 def test_element_json_roundtrip(a3):

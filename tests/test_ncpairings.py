@@ -49,6 +49,13 @@ def test_first_moment_is_delta():
             assert m[1] == pytest.approx(delta, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["recursion", "closed_form", "narayana"])
+@pytest.mark.parametrize("delta", [0.5, float("nan"), -math.inf])
+def test_delta_below_one_or_nan_rejected(method, delta):
+    with pytest.raises(ValueError, match="delta"):
+        free_poisson_moments(delta, 3, method)
+
+
 def test_delta_one_gives_catalan():
     m = free_poisson_moments(1.0, 10)
     for n in range(11):

@@ -1,7 +1,14 @@
+import random
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphloops import EVEN, ODD
+from graphloops import (EVEN, ODD, Loop, LoopAlgebra, builtin_graph,
+                        perron_frobenius)
+from graphloops.elements import _merge
 from graphloops.ncpairings import noncrossing_pairings
 from graphloops.tangles import (Layer, Slot, TangleProgram, TangleSyntaxError,
                                 closure_program, diagram_program,
@@ -9,6 +16,10 @@ from graphloops.tangles import (Layer, Slot, TangleProgram, TangleSyntaxError,
                                 random_element, rotation_program,
                                 trace0_via_tangles, wedge_program)
 from graphloops.traces import trace_k
+from test_random_graphs import bipartite_graphs
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (standard library only)
 
 CAP_PROGRAM = """
 tangle close_one(A: 1-) -> 0- {
@@ -237,3 +248,196 @@ def test_eval_validates_input_declaration(a3):
     b = random_element(a3, 2, EVEN, rng)
     with pytest.raises(ValueError):
         eval_tangle(a3, prog, {"a": a, "b": b})      # wrong level
+
+
+def test_hand_built_layers_are_checked_against_the_boundary(a3):
+    x = random_element(a3, 2, EVEN, np.random.default_rng(30))
+    for layer in (Layer("cup", 0), Layer("cup", 6), Layer("cup", 9),
+                  Layer("cap", 0), Layer("cap", 4)):
+        prog = TangleProgram("bad", (Slot("a", 2, EVEN),), 2, EVEN,
+                             (Layer("load", "a"), layer))
+        with pytest.raises(ValueError, match=f"layer 2 \\({layer.kind} "
+                                             f"{layer.arg}\\)"):
+            eval_tangle(a3, prog, {"a": x})
+    for layers in ((Layer("cap", 1),), (Layer("rotate"),), (Layer("cup", 2),)):
+        prog = TangleProgram("bad", (), 1, EVEN, layers)
+        with pytest.raises(ValueError, match="layer 1 .* 0 points"):
+            eval_tangle(a3, prog, {})
+    with pytest.raises(ValueError, match="no boundary"):
+        eval_tangle(a3, TangleProgram("empty", (), 0, EVEN, ()), {})
+
+
+# -- the dict evaluator as the reference -------------------------------------
+
+
+def ref_eval_tangle(alg, prog, inputs):
+    """The loop-by-loop dict evaluator the array one replaced: its state is
+    {Loop | None: coeff}, None being the empty boundary with a free base,
+    and every layer adds its output loops into a running dict sum."""
+    g, pf = alg.g, alg.pf
+    state = {None: 1.0}
+
+    def insert_pair(lp, coeff, pos, shading, out):
+        if lp is None:
+            for v in g.vertices_of_parity(shading or prog.out_shading):
+                for e in g.edges_from(v):
+                    key = Loop(v, (e, g.opp(e)))
+                    out[key] = out.get(key, 0.0) + coeff * pf.sigma(e)
+            return
+        rv = lp.base if pos == 1 else g.tgt(lp.edges[pos - 2])
+        for e in g.edges_from(rv):
+            edges = lp.edges[: pos - 1] + (e, g.opp(e)) + lp.edges[pos - 1:]
+            key = Loop(g.src(edges[0]), edges)
+            out[key] = out.get(key, 0.0) + coeff * pf.sigma(e)
+
+    for layer in prog.layers:
+        new = {}
+        if layer.kind in ("load", "tensor"):
+            x = inputs[layer.arg]
+            for lp, c in state.items():
+                for xl, xc in x.terms.items():
+                    if lp is None:
+                        key = xl
+                    else:
+                        right = g.tgt(lp.edges[-1]) if lp.edges else lp.base
+                        if right != xl.base:
+                            continue
+                        key = Loop(lp.base, lp.edges + xl.edges)
+                    new[key] = new.get(key, 0.0) + c * xc
+        elif layer.kind == "cap":
+            i = layer.arg
+            for lp, c in state.items():
+                e, f = lp.edges[i - 1], lp.edges[i]
+                if f != g.opp(e):
+                    continue
+                edges = lp.edges[: i - 1] + lp.edges[i + 1:]
+                key = Loop(g.src(edges[0]) if edges else lp.base, edges)
+                new[key] = new.get(key, 0.0) + c * pf.sigma(e)
+        elif layer.kind == "cup":
+            for lp, c in state.items():
+                insert_pair(lp, c, layer.arg, layer.shading, new)
+        else:                                   # rotate
+            for lp, c in state.items():
+                factor = pf.mu[lp.base] / pf.mu[g.tgt(lp.edges[1])]
+                key = Loop(g.tgt(lp.edges[1]), lp.edges[2:] + lp.edges[:2])
+                new[key] = new.get(key, 0.0) + c * factor
+        state = new
+    terms = {}
+    for lp, c in state.items():
+        assert lp is not None and len(lp.edges) == 2 * prog.out_level
+        if g.parity[lp.base] == prog.out_shading:
+            terms[lp] = terms.get(lp, 0.0) + c
+    return alg.element(terms, prog.out_level, prog.out_shading)
+
+
+def assert_matches_reference(alg, prog, inputs):
+    got = eval_tangle(alg, prog, inputs)
+    want = ref_eval_tangle(alg, prog, inputs)
+    assert (got.level, got.shading) == (want.level, want.shading)
+    assert list(got.terms.items()) == list(want.terms.items())
+    return got
+
+
+def random_program(rng, shading, n_layers=8, max_points=8):
+    """A program of random layers that fit the boundary, on inputs of
+    level 0 to 2; it starts with load, tensor or an empty-boundary cup."""
+    slots, layers = [], []
+
+    def add_input(kind):
+        slots.append(Slot(f"x{len(slots)}", int(rng.integers(0, 3)), shading))
+        layers.append(Layer(kind, slots[-1].name))
+        return 2 * slots[-1].level
+
+    if rng.random() < 0.3:
+        layers.append(Layer("cup", 1, shading if rng.random() < 0.5 else None))
+        points = 2
+    else:
+        points = add_input(str(rng.choice(["load", "tensor"])))
+    for _ in range(n_layers):
+        kinds = ["tensor"] * (points + 4 <= max_points)
+        kinds += ["cup"] * (points + 2 <= max_points)
+        kinds += ["cap", "rotate"] * (points >= 2)
+        kind = str(rng.choice(kinds))
+        if kind == "tensor":
+            points += add_input(kind)
+        elif kind == "cup":
+            layers.append(Layer("cup", int(rng.integers(1, points + 2))))
+            points += 2
+        elif kind == "cap":
+            layers.append(Layer("cap", int(rng.integers(1, points))))
+            points -= 2
+        else:
+            layers.append(Layer("rotate"))
+    return TangleProgram("random", tuple(slots), points // 2, shading,
+                         tuple(layers))
+
+
+def random_inputs(alg, prog, rng, complex_slot=None):
+    """Standard normal inputs; the named slot gets complex coefficients.
+    Only one slot is complex: numpy may round a complex-by-complex product
+    with a fused multiply-add where CPython does not."""
+    inputs = {}
+    for slot in prog.inputs:
+        base, words = alg.loop_words(slot.level, slot.shading)
+        coeff = rng.standard_normal(len(base))
+        if slot.name == complex_slot:
+            coeff = coeff + 1j * rng.standard_normal(len(base))
+        inputs[slot.name] = _merge(slot.level, slot.shading, base, words, coeff)
+    return inputs
+
+
+def check_random_programs(alg, rng, count):
+    for _ in range(count):
+        shading = EVEN if rng.random() < 0.5 else ODD
+        prog = random_program(rng, shading)
+        names = [s.name for s in prog.inputs]
+        complex_slot = str(rng.choice(names)) if names else None
+        assert_matches_reference(alg, prog,
+                                 random_inputs(alg, prog, rng, complex_slot))
+        assert_matches_reference(alg, prog, random_inputs(alg, prog, rng))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "s4", "a5"])
+def test_random_programs_equal_the_dict_reference(name):
+    g = builtin_graph(name)
+    check_random_programs(LoopAlgebra(g, perron_frobenius(g)),
+                          np.random.default_rng(31), 40)
+
+
+@given(bipartite_graphs(), st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=15, deadline=None)
+def test_random_programs_equal_the_dict_reference_on_random_graphs(g, seed):
+    check_random_programs(LoopAlgebra(g, perron_frobenius(g)),
+                          np.random.default_rng(seed), 6)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_program_equals_the_dict_reference(s4, seed):
+    # the algebra workload's tangle op: its program and inputs at this seed
+    rng = random.Random(seed)
+    prog = parse_tangle(workloads.tangle_program(rng))
+    inputs = {name: s4.from_json_dict(workloads._element(3, rng))
+              for name in ("x", "y")}
+    got = assert_matches_reference(s4, prog, inputs)
+    assert len(got.coeff) > 4 ** 5
+
+
+def test_edge_programs_equal_the_dict_reference(test_algebras):
+    rng = np.random.default_rng(32)
+    for alg in test_algebras.values():
+        # level-0 inputs, a first layer that is tensor, complex coefficients
+        prog = TangleProgram(
+            "level0", (Slot("a", 0, EVEN), Slot("b", 0, EVEN), Slot("c", 1, EVEN)),
+            1, EVEN,
+            (Layer("tensor", "a"), Layer("cup", 1), Layer("tensor", "b"),
+             Layer("rotate"), Layer("tensor", "c"), Layer("cap", 2)))
+        assert_matches_reference(alg, prog, random_inputs(alg, prog, rng, "a"))
+        assert_matches_reference(alg, prog, random_inputs(alg, prog, rng, "c"))
+        # a first cup shaded unlike the output gives zero
+        prog = TangleProgram("odd_cup", (), 1, EVEN, (Layer("cup", 1, ODD),))
+        assert not assert_matches_reference(alg, prog, {}).terms
+        # caps down to level 0, along every pairing of six points
+        x = random_element(alg, 3, ODD, rng)
+        for pairing in noncrossing_pairings(6):
+            assert_matches_reference(alg, closure_program(pairing, 3, ODD),
+                                     {"a": x})
