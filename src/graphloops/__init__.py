@@ -7,8 +7,8 @@ from .graphs import (BipartiteGraph, GraphError, PFData, builtin_graph,
 from .elements import Element, Loop, LoopAlgebra, loop_from_tokens, loop_tokens
 from .ncpairings import (catalan, free_poisson_moments, narayana,
                          noncrossing_pairings)
-from .traces import (CenterValue, gram_psd_check, inner_product, phi_vertex,
-                     trace_k, usual_trace, free_structure_report)
+from .traces import (gram_psd_check, inner_product, phi_vertex, trace_k,
+                     usual_trace, free_structure_report)
 from .tangles import TangleProgram, eval_tangle, parse_tangle, equivalence_check
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .randmat import BlockModelSpec, SampledModel, estimate_trace, convergence_sweep
@@ -18,7 +18,7 @@ __all__ = [
     "load_pf", "perron_frobenius", "pf_from_mu", "EVEN", "ODD",
     "Element", "Loop", "LoopAlgebra", "loop_from_tokens", "loop_tokens",
     "catalan", "free_poisson_moments", "narayana", "noncrossing_pairings",
-    "CenterValue", "gram_psd_check", "inner_product", "phi_vertex", "trace_k",
+    "gram_psd_check", "inner_product", "phi_vertex", "trace_k",
     "usual_trace", "free_structure_report",
     "TangleProgram", "eval_tangle", "parse_tangle", "equivalence_check",
     "FockSpace", "commutator_diagnostics", "oracle_check_trace",

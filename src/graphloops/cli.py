@@ -119,9 +119,9 @@ def cmd_trace(alg, args, report) -> bool:
     else:
         with open(args.element, "r", encoding="utf-8") as fh:
             x = alg.from_json_dict(json.load(fh))
-    cv = trace_k(alg, args.k, x)
-    for v in sorted(cv.values):
-        report.add(f"trace[{alg.g.vertex_names[v]}]", cv.values[v])
+    values = trace_k(alg, args.k, x)
+    for v in np.flatnonzero(values):
+        report.add(f"trace[{alg.g.vertex_names[v]}]", values[v])
     return False
 
 
@@ -150,9 +150,9 @@ def cmd_tower(alg, args, report) -> bool:
     shading = EVEN if k % 2 == 0 else ODD
     e_k = alg.jones_projection(k, tower=True)
     y = random_element(alg, k - 1, -shading, rng)
-    markov = (trace_k(alg, k, alg.wedge(k, alg.include_step(y), e_k))
-              .scale(alg.pf.delta) - trace_k(alg, k - 1, y))
-    report.add("markov_residual", markov.norm_inf(), 0.0)
+    top = trace_k(alg, k, alg.wedge(k, alg.include_step(y), e_k))
+    markov = alg.pf.delta * top - trace_k(alg, k - 1, y)
+    report.add("markov_residual", np.abs(markov).max(), 0.0)
     e_pl = alg.jones_projection(k)
     idem = alg.usual_mult(e_pl, e_pl) - e_pl
     report.add("jones_idempotent_residual", idem.norm_inf(), 0.0)
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=tolerance, default=1e-9)
         p.add_argument("--threads", type=POSITIVE, default=1)
-        p.add_argument("--seed", type=int, default=42)
         p.set_defaults(fn=fn)
         return p
 
@@ -267,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_tower, "tower map diagnostics at grade k")
     p.add_argument("--k", type=_int_at_least(2), default=2)
+    p.add_argument("--seed", type=int, default=42)
 
     p = command(cmd_fock, "operator-model oracle reports")
     p.add_argument("--max-len", type=NON_NEGATIVE, default=6)
@@ -281,11 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=POSITIVE, default=8)
     p.add_argument("--grid", action="store_true",
                    help="sweep (N/4,M/4) -> (N/2,M/2) -> (N,M)")
+    p.add_argument("--seed", type=int, default=42)
 
     p = command(cmd_freedim, "free-structure dimension table")
     p.add_argument("--n", type=POSITIVE, default=4)
 
-    command(cmd_selftest, "run the cross-module invariant suite", graph=False)
+    p = command(cmd_selftest, "run the cross-module invariant suite",
+                graph=False)
+    p.add_argument("--seed", type=int, default=42)
     return top
 
 

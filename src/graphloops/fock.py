@@ -227,8 +227,7 @@ class FockSpace:
 # -- reports ------------------------------------------------------------
 
 
-def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6,
-                       depth: int | None = None, sigma=None) -> dict:
+def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6, sigma=None) -> dict:
     """Worst |vacuum(c(w)) - pairing(w)| over all loops of length <= max_len.
 
     Each vacuum expectation is read from the chain c(w) applied to the
@@ -240,10 +239,7 @@ def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6,
     weight there is the harness-sanity fault test (the identity itself holds
     for any positive vertex weights, so corrupting both sides is invisible).
     """
-    depth = max_len if depth is None else depth
-    if depth < max_len:
-        raise ValueError("depth must cover the longest word")
-    space = FockSpace(alg, depth)
+    space = FockSpace(alg, max_len)
     sig = _sigma_table(alg, sigma)
     loops, want = [], []
     for level in range(0, max_len // 2 + 1):
@@ -292,8 +288,13 @@ def _vacuum_values(space: FockSpace, loops: list[Loop]) -> np.ndarray:
 
 def _interior(space: FockSpace, op: sp.csr_matrix, word_len: int):
     """|op| on the interior columns: the paths that a word of `word_len`
-    letters cannot push past the truncation."""
-    cols = space.basis.interior_indices(space.basis.depth - word_len)
+    letters cannot push past the truncation.  A ValueError if there are
+    none, since a residual over no column checks nothing."""
+    depth = space.basis.depth
+    cols = space.basis.interior_indices(depth - word_len)
+    if not len(cols):
+        raise ValueError(f"a Fock space of depth {depth} has no interior "
+                         f"column for a word of {word_len} letters")
     return abs(op.tocsc()[:, cols])
 
 
@@ -306,8 +307,7 @@ def homomorphism_residual(alg: LoopAlgebra, t: int, a: Element, b: Element,
     return float(diff.max()) if diff.nnz else 0.0
 
 
-def commutator_diagnostics(alg: LoopAlgebra, depth: int = 8,
-                           pk_grade: int = 2) -> dict:
+def commutator_diagnostics(alg: LoopAlgebra, depth: int = 8) -> dict:
     """Tensor-power norms, the one-cup / nested-cup commutator report, and
     the commutation of pure frame words with included short loops."""
     space = FockSpace(alg, depth)
@@ -328,8 +328,7 @@ def commutator_diagnostics(alg: LoopAlgebra, depth: int = 8,
                     ("cup_minus_nested_fro", cup - cupcup)):
         sub = _interior(space, op, 6)
         report[key] = float(np.sqrt(sub.power(2).sum())) if sub.nnz else 0.0
-    report["pk_commutation_max"] = pk_commutation_residual(
-        alg, space, pk_grade)
+    report["pk_commutation_max"] = pk_commutation_residual(alg, space)
     return report
 
 
@@ -337,7 +336,13 @@ def pk_commutation_residual(alg: LoopAlgebra, space: FockSpace,
                             k: int = 2) -> float:
     """Max interior entry of [c_k(u), i_k(c(w))] over pure frame words u of
     level k and short even loops w.  The relative-commutant elements of the
-    tower commute with every k-fold included grade-0 operator."""
+    tower commute with every k-fold included grade-0 operator.
+
+    The commutator is a word of 4k + 2 letters, so it is read on `space`
+    if that is at least 4k + 2 deep and on a new space of that depth if not.
+    """
+    if space.basis.depth < 4 * k + 2:
+        space = FockSpace(alg, 4 * k + 2)
     base, words = alg.loop_words(k, EVEN if k % 2 == 0 else ODD)
     frame = np.flatnonzero(_frame(words, k, np.ones(len(alg._src))))[:8]
     frame_words = _loops(base[frame], words[frame])

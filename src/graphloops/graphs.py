@@ -164,9 +164,6 @@ class BipartiteGraph:
     def edges_from(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
-    def edges_into(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
-
     def oriented_name(self, e: int) -> str:
         i, rev = divmod(e, 2)
         return self.edge_names[i] + ("'" if rev else "")

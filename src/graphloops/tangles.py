@@ -233,7 +233,8 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
     The state is an element, None while the boundary is empty; each layer
     is one array move on its rows followed by `_merge`.  Its loops stay
     closed, so a row's right region is its base vertex, and only `rotate`
-    moves a base."""
+    moves a base.  A layer that `parse_tangle` would reject (unknown kind,
+    undeclared input, no fit to the boundary) is a ValueError naming it."""
     for slot in prog.inputs:
         x = inputs.get(slot.name)
         if x is None:
@@ -243,14 +244,20 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
                              f"{x.level}{_SHADING_NAME[x.shading]}, declared "
                              f"{slot.level}{_SHADING_NAME[slot.shading]}")
 
+    declared = {slot.name for slot in prog.inputs}
     state: Element | None = None
     for n, layer in enumerate(prog.layers, start=1):
         points = 0 if state is None else 2 * state.level
         p = layer.arg
+        what = layer.kind if p is None else f"{layer.kind} {p}"
+        if layer.kind not in ("load", "tensor", "cap", "cup", "rotate"):
+            raise ValueError(f"layer {n} ({what}) is of no known kind")
+        if layer.kind in ("load", "tensor") and p not in declared:
+            raise ValueError(f"layer {n} ({what}) reads an undeclared input")
         if (layer.kind == "cup" and not 1 <= p <= points + 1
                 or layer.kind == "cap" and not 1 <= p <= points - 1
-                or layer.kind == "rotate" and points < 2):
-            what = layer.kind if p is None else f"{layer.kind} {p}"
+                or layer.kind == "rotate" and points < 2
+                or layer.kind == "load" and points):
             raise ValueError(f"layer {n} ({what}) does not fit a boundary "
                              f"of {points} points")
         if layer.kind in ("load", "tensor"):
@@ -386,14 +393,12 @@ def _cup_order(pairs) -> list[int]:
     return order
 
 
-def trace0_via_tangles(alg: LoopAlgebra, x: Element):
+def trace0_via_tangles(alg: LoopAlgebra, x: Element) -> np.ndarray:
     """Grade-0 trace as the sum over all pairing closures (oracle path)."""
     from .ncpairings import noncrossing_pairings
-    from .traces import CenterValue
-    values: dict[int, float] = {}
+    values = np.zeros(alg.g.n_vertices, dtype=x.coeff.dtype)
     for pairing in noncrossing_pairings(2 * x.level):
-        prog = closure_program(pairing, x.level, x.shading)
-        res = eval_tangle(alg, prog, {"a": x})
-        for v, c in zip(res.base.tolist(), res.coeff.tolist()):
-            values[v] = values.get(v, 0.0) + c
-    return CenterValue(x.shading, values)
+        res = eval_tangle(alg, closure_program(pairing, x.level, x.shading),
+                          {"a": x})
+        np.add.at(values, res.base, res.coeff)
+    return values

@@ -22,43 +22,22 @@ the recursion
 which one kernel, `_phi_words`, evaluates bottom-up over the intervals of
 an integer word array, vectorized over its rows; no value is cached.
 
-The scalar tower weight `phi_frame` is delta^-k times the total mass of the
-grade-k trace; unlike the vertex-resolved trace it is preserved (not
-scaled) by the tower inclusion.
+The trace takes values in the functions on the vertices: every
+vertex-valued result here is an array of length `g.n_vertices` in the
+coefficients' dtype, 0 at every vertex no row reaches.  The scalar tower
+weight `phi_frame` is delta^-k times the total mass of the grade-k trace;
+unlike the vertex-resolved trace it is preserved (not scaled) by the tower
+inclusion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .graphs import EVEN
-from .elements import Element, Loop, LoopAlgebra, _frame, _loops
+from .elements import Element, LoopAlgebra, _frame, _join, _loops, _row_keys
 from .ncpairings import (catalan, indecomposable_dimension_series,
                          noncrossing_pairings)
-
-
-@dataclass
-class CenterValue:
-    """Finitely supported scalar function on vertices of one parity."""
-
-    shading: int
-    values: dict[int, float] = field(default_factory=dict)
-
-    def __getitem__(self, v: int) -> float:
-        return self.values.get(v, 0.0)
-
-    def __sub__(self, other: "CenterValue") -> "CenterValue":
-        keys = set(self.values) | set(other.values)
-        return CenterValue(self.shading,
-                           {v: self[v] - other[v] for v in keys})
-
-    def scale(self, c: float) -> "CenterValue":
-        return CenterValue(self.shading, {v: c * x for v, x in self.values.items()})
-
-    def norm_inf(self) -> float:
-        return max((abs(x) for x in self.values.values()), default=0.0)
 
 
 # -- vertex functionals -----------------------------------------------------
@@ -110,7 +89,7 @@ def _sigma_table(alg: LoopAlgebra, sigma=None) -> np.ndarray:
     """sigma per oriented edge: the PF weights, or an override (fault
     injection in tests) evaluated on every edge."""
     if sigma is None:
-        return np.array(alg.pf.sigmas)
+        return alg._sigma[1]
     return np.array([sigma(e) for e in alg.g.oriented_edges], dtype=float)
 
 
@@ -120,7 +99,7 @@ def _phi_word(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
     return float(_phi_words(words, _sigma_table(alg, sigma))[0])
 
 
-def _phi_word_pairing(alg: LoopAlgebra, edges: tuple[int, ...], sigma=None) -> float:
+def _phi_word_pairing(alg: LoopAlgebra, edges, sigma=None) -> float:
     """Same functional via the explicit sum over non-crossing pairings."""
     sigma = sigma or alg.pf.sigma
     opp = alg.g.opp
@@ -150,11 +129,11 @@ def phi_vertex(alg: LoopAlgebra, x: Element, v: int | str,
         return trace_k(alg, 0, x)[v]
     if method != "pairing":
         raise ValueError(f"unknown phi method {method!r}")
-    return sum(c * _phi_word_pairing(alg, lp.edges)
-               for lp, c in x.terms.items() if lp.base == v)
+    return sum(c * _phi_word_pairing(alg, w) for b, w, c in
+               zip(x.base.tolist(), x.words.tolist(), x.coeff.tolist()) if b == v)
 
 
-def trace_k(alg: LoopAlgebra, k: int, x: Element) -> CenterValue:
+def trace_k(alg: LoopAlgebra, k: int, x: Element) -> np.ndarray:
     """Grade-k trace: close the k-edge frame, pair out the middle word.
 
     One pass over the element's word array: the frame test and its
@@ -173,28 +152,23 @@ def trace_k(alg: LoopAlgebra, k: int, x: Element) -> CenterValue:
     middle = words[:, k:words.shape[1] - k]
     if len(keep) < len(w):        # a full fancy index would copy every row
         middle, w = middle[keep], w[keep]
-    w = w * _phi_words(middle, _sigma_table(alg))
-    return _vertex_sums(alg, x.shading if k % 2 == 0 else -x.shading, v_out, w)
+    return _vertex_sums(alg, v_out, w * _phi_words(middle, alg._sigma[1]))
 
 
-def usual_trace(alg: LoopAlgebra, x: Element) -> CenterValue:
+def usual_trace(alg: LoopAlgebra, x: Element) -> np.ndarray:
     """Closed formula for the trace of a level-k element written in planar
     coordinates: prod_j delta_{a_j = opp(a_{2k+1-j})} sigma(a_j) at the base."""
     w = x.coeff * _frame(x.words, x.level, alg._sigma[1])
     keep = np.flatnonzero(w != 0)
-    return _vertex_sums(alg, x.shading, x.base[keep], w[keep])
+    return _vertex_sums(alg, x.base[keep], w[keep])
 
 
-def _vertex_sums(alg: LoopAlgebra, shading: int, v_out: np.ndarray,
-                 w: np.ndarray) -> CenterValue:
-    """Sum w per vertex v_out in row order, as a running dict sum; zeros dropped."""
+def _vertex_sums(alg: LoopAlgebra, v_out: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum w per vertex v_out in row order, in w's dtype."""
     sums = np.bincount(v_out, w.real, alg.g.n_vertices).astype(w.dtype)
     if np.iscomplexobj(w):
         sums.imag = np.bincount(v_out, w.imag, alg.g.n_vertices)
-    _, first = np.unique(v_out, return_index=True)
-    order = v_out[np.sort(first)].tolist()
-    return CenterValue(shading, {v: val for v, val in
-                                 zip(order, sums[order].tolist()) if val != 0.0})
+    return sums
 
 
 def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
@@ -206,29 +180,23 @@ def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
     phi(W), since prod_j sigma(E_j)^-1 = sqrt(mu(base)/mu(v_mid)).  This is
     the weight for which the tower inclusion is trace-preserving.
     """
-    return sum(trace_k(alg, n, x).values.values()) / alg.pf.delta ** n
+    return trace_k(alg, n, x).sum() / alg.pf.delta ** n
 
 
 # -- inner products and positivity -----------------------------------------
 
 
-def inner_product(alg: LoopAlgebra, a: Element, b: Element) -> CenterValue:
+def inner_product(alg: LoopAlgebra, a: Element, b: Element) -> np.ndarray:
     """Vertex-valued pairing <a, b>: nonzero only between a loop and its
     reversal, with weight prod sigma(edge) over the loop."""
     if (a.level, a.shading) != (b.level, b.shading):
         raise ValueError("inner product needs equal levels and shadings")
-    pf = alg.pf
-    values: dict[int, float] = {}
-    for lp, ca in a.terms.items():
-        back = tuple(e ^ 1 for e in reversed(lp.edges))
-        cb = b.terms.get(Loop(lp.base, back))
-        if cb is None:
-            continue
-        w = 1.0
-        for e in lp.edges:
-            w *= pf.sigma(e)
-        values[lp.base] = values.get(lp.base, 0.0) + ca.conjugate() * cb * w
-    return CenterValue(a.shading, values)
+    ia, ib = _join(_row_keys(a.base, a.words[:, ::-1] ^ 1)[1],
+                   _row_keys(b.base, b.words)[1])
+    w = np.ones(len(ia))
+    for j in range(a.words.shape[1]):
+        w *= alg._sigma[1][a.words[ia, j]]
+    return _vertex_sums(alg, a.base[ia], a.coeff[ia].conj() * b.coeff[ib] * w)
 
 
 def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
@@ -280,9 +248,8 @@ def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
 
 def _scalar_tl_trace(alg: LoopAlgebra, x: Element) -> float:
     """mu-weighted average of the vertex functionals over even vertices."""
-    mu, values = alg.pf.mu, trace_k(alg, 0, x)
-    vs = alg.g.vertices_of_parity(EVEN)
-    return sum(mu[v] * values[v] for v in vs) / sum(mu[v] for v in vs)
+    mu = alg._mu * (np.array(alg.g.parity) == EVEN)
+    return mu @ trace_k(alg, 0, x) / mu.sum()
 
 
 def _numerical_rank(gram: np.ndarray, rel_tol: float = 1e-8) -> int:

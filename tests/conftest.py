@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from graphloops import LoopAlgebra, builtin_graph, perron_frobenius
+
+# pytest finds the package through `pythonpath` in pyproject.toml; the CLI
+# subprocesses the tests start find it through PYTHONPATH
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def _alg(name):

@@ -325,8 +325,8 @@ REPORT_HEADERS = {
                A3_DIGEST),
     "tower": (["--graph", "a3", "--k", "2", "--seed", "5"],
               {"graph": "a3", "k": 2}, 5, A3_DIGEST),
-    "fock": (["--graph", "a2", "--max-len", "2", "--depth", "4"],
-             {"graph": "a2", "max_len": 2, "depth": 4}, None, A2_DIGEST),
+    "fock": (["--graph", "a2", "--max-len", "2", "--depth", "6"],
+             {"graph": "a2", "max_len": 2, "depth": 6}, None, A2_DIGEST),
     "mc": (["--graph", "a2", "--loop", "e e'", "--N", "6", "--M", "6",
             "--samples", "4", "--probes", "2", "--seed", "3"],
            {"graph": "a2", "loop": "e e'", "N": 6, "M": 6, "samples": 4,

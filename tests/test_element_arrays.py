@@ -84,7 +84,7 @@ def ref_turn(alg, x, steps, curved):
 def ref_include_step(alg, x):
     g, out = alg.g, _Sum()
     for lp, c in x.terms.items():
-        for e in g.edges_into(lp.base):
+        for e in g._in[lp.base]:
             out.add(Loop(g.src(e), (e,) + lp.edges + (e ^ 1,)),
                     c * alg.pf.sigma(e))
     return out.pruned()

@@ -157,14 +157,17 @@ def test_vacuum_trace_oracle_fault_injection(a3):
 
 
 def test_operator_homomorphism_small(test_algebras):
+    # a product of two level-lvl elements is a word of 4 lvl letters, so the
+    # level-3 case needs depth 12 to keep an interior column
     rng = np.random.default_rng(32)
     for alg in test_algebras.values():
-        space = FockSpace(alg, 8)
+        spaces = {8: FockSpace(alg, 8), 12: FockSpace(alg, 12)}
         for t in (0, 1, 2):
             shading = EVEN if t % 2 == 0 else ODD
             for lvl in (max(t, 1), t + 1):
                 a = random_element(alg, lvl, shading, rng)
                 b = random_element(alg, lvl, shading, rng)
+                space = spaces[8 if 4 * lvl <= 8 else 12]
                 assert homomorphism_residual(alg, t, a, b, space) <= 1e-9
 
 
@@ -299,6 +302,25 @@ def test_pure_frame_words_commute_with_included_loops(test_algebras):
     for alg in test_algebras.values():
         space = FockSpace(alg, 8)
         assert pk_commutation_residual(alg, space, k=2) <= 1e-10
+
+
+def test_pk_residual_sees_a_missing_inclusion(test_algebras, monkeypatch):
+    # with the tower inclusion replaced by the identity the pure frame words
+    # no longer commute with the included loops; at the default depth the
+    # residual must see that, so it cannot read 0 over no column
+    monkeypatch.setattr(FockSpace, "include_operator",
+                        lambda self, X, base_parity: X)
+    for alg in test_algebras.values():
+        assert commutator_diagnostics(alg)["pk_commutation_max"] >= 0.5
+
+
+def test_residual_over_no_interior_column_is_an_error(a2):
+    space = FockSpace(a2, 4)
+    a = random_element(a2, 2, EVEN, np.random.default_rng(33))
+    with pytest.raises(ValueError, match="no interior column"):
+        homomorphism_residual(a2, 0, a, a, space)
+    with pytest.raises(ValueError, match="no interior column"):
+        commutator_diagnostics(a2, depth=4)
 
 
 def test_nested_cup_weight_conventions_agree(test_algebras):

@@ -148,5 +148,5 @@ def test_edge_tables_match_their_definitions(name):
     for v in range(g.n_vertices):
         assert g.edges_from(v) == tuple(e for e in g.oriented_edges
                                         if g.src(e) == v)
-        assert g.edges_into(v) == tuple(e for e in g.oriented_edges
+        assert g._in[v] == tuple(e for e in g.oriented_edges
                                         if g.tgt(e) == v)

@@ -147,7 +147,7 @@ def test_trace_closures_match_trace0(test_algebras):
             x = random_element(alg, lvl, EVEN, rng)
             got = trace0_via_tangles(alg, x)
             want = trace_k(alg, 0, x)
-            assert (got - want).norm_inf() <= 1e-9
+            assert np.abs(got - want).max() <= 1e-9
 
 
 def test_trace0_rotation_invariance(test_algebras):
@@ -156,7 +156,7 @@ def test_trace0_rotation_invariance(test_algebras):
         x = random_element(alg, 2, EVEN, rng)
         a = trace_k(alg, 0, alg.rotate(x))
         b = trace_k(alg, 0, x)
-        assert (a - b).norm_inf() <= 1e-9
+        assert np.abs(a - b).max() <= 1e-9
 
 
 def test_rotation_program_matches_primitive(test_algebras):
@@ -265,6 +265,28 @@ def test_hand_built_layers_are_checked_against_the_boundary(a3):
             eval_tangle(a3, prog, {})
     with pytest.raises(ValueError, match="no boundary"):
         eval_tangle(a3, TangleProgram("empty", (), 0, EVEN, ()), {})
+
+
+def test_hand_built_layers_are_checked_for_kind_and_slot(a3):
+    # parse_tangle rejects each of these; a program built in code must not
+    # be evaluated as something else (flip as rotate, a second load as tensor)
+    rng = np.random.default_rng(31)
+    a, b = (random_element(a3, 1, EVEN, rng) for _ in range(2))
+    slot_a = (Slot("a", 1, EVEN),)
+    cases = [
+        (slot_a, (Layer("load", "a"), Layer("flip")), {"a": a},
+         r"layer 2 \(flip\) is of no known kind"),
+        (slot_a, (Layer("load", "a"), Layer("tensor", "b")), {"a": a},
+         r"layer 2 \(tensor b\) reads an undeclared input"),
+        (slot_a, (Layer("load", "a"), Layer("tensor", "b")), {"a": a, "b": b},
+         r"layer 2 \(tensor b\) reads an undeclared input"),
+        (slot_a + (Slot("b", 1, EVEN),), (Layer("load", "a"), Layer("load", "b")),
+         {"a": a, "b": b}, r"layer 2 \(load b\) does not fit a boundary of 2"),
+    ]
+    for slots, layers, inputs, message in cases:
+        prog = TangleProgram("bad", slots, 2, EVEN, layers)
+        with pytest.raises(ValueError, match=message):
+            eval_tangle(a3, prog, inputs)
 
 
 # -- the dict evaluator as the reference -------------------------------------

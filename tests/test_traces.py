@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from graphloops import EVEN, ODD, loop_from_tokens
+from graphloops import EVEN, ODD, Loop, loop_from_tokens
 from graphloops.ncpairings import free_poisson_moments
-from graphloops.tangles import random_element
+from graphloops.tangles import random_element, trace0_via_tangles
 from graphloops.traces import (free_structure_report, gram_matrix,
                                gram_psd_check, inner_product, phi_vertex,
                                trace_k, usual_trace)
@@ -49,7 +49,7 @@ def test_usual_trace_closed_formula(a3):
     g = a3.g
     x = a3.single_loop(loop_from_tokens(g, "e1 e1' e2 e2'"))
     # frame pairs (1,4), (2,3) unmatched: opp(e2') = e2 differs from e1
-    assert usual_trace(a3, x).norm_inf() == 0.0
+    assert not usual_trace(a3, x).any()
     y = a3.single_loop(loop_from_tokens(g, "e1 e1'"))
     cv = usual_trace(a3, y)
     assert cv[g.vertex("m")] == pytest.approx(2 ** -0.25, rel=1e-12)
@@ -65,7 +65,7 @@ def test_trace_restriction_to_usual(test_algebras):
                 x = alg.single_loop(lp)
                 got = trace_k(alg, k, alg.to_grade(x))
                 want = usual_trace(alg, x)
-                assert (got - want).norm_inf() <= 1e-9
+                assert np.abs(got - want).max() <= 1e-9
 
 
 def test_trace_property(test_algebras):
@@ -77,7 +77,7 @@ def test_trace_property(test_algebras):
             b = random_element(alg, k + 1, shading, rng)
             d = (trace_k(alg, k, alg.wedge(k, a, b))
                  - trace_k(alg, k, alg.wedge(k, b, a)))
-            assert d.norm_inf() <= 1e-9
+            assert np.abs(d).max() <= 1e-9
 
 
 def test_trace_scales_by_delta_under_inclusion(test_algebras):
@@ -87,8 +87,8 @@ def test_trace_scales_by_delta_under_inclusion(test_algebras):
             shading = EVEN if k % 2 == 0 else ODD
             y = random_element(alg, k, -shading, rng)
             lhs = trace_k(alg, k, alg.include_step(y))
-            rhs = trace_k(alg, k - 1, y).scale(alg.pf.delta)
-            assert (lhs - rhs).norm_inf() <= 1e-9
+            rhs = alg.pf.delta * trace_k(alg, k - 1, y)
+            assert np.abs(lhs - rhs).max() <= 1e-9
 
 
 def test_markov_property(test_algebras):
@@ -99,10 +99,10 @@ def test_markov_property(test_algebras):
             e_k = alg.jones_projection(k, tower=True)
             for lvl in (k - 1, k, k + 1):
                 y = random_element(alg, lvl, -shading, rng)
-                lhs = trace_k(alg, k, alg.wedge(
-                    k, alg.include_step(y), e_k)).scale(alg.pf.delta)
+                lhs = alg.pf.delta * trace_k(alg, k, alg.wedge(
+                    k, alg.include_step(y), e_k))
                 rhs = trace_k(alg, k - 1, y)
-                assert (lhs - rhs).norm_inf() <= 1e-9
+                assert np.abs(lhs - rhs).max() <= 1e-9
 
 
 def test_jones_sandwich_is_conditional_expectation(test_algebras):
@@ -154,7 +154,75 @@ def test_inner_product_reversal_pairing(a3):
     ip = inner_product(a3, x, rev)
     assert ip[g.vertex("m")] == pytest.approx(1.0, rel=1e-12)
     # the loop is not its own reversal, so <x, x> vanishes
-    assert inner_product(a3, x, x).norm_inf() == 0.0
+    assert not inner_product(a3, x, x).any()
+
+
+def ref_inner_product(alg, a, b):
+    """The loop-by-loop dict pairing the array one replaced: each loop of a
+    meets its reversal in b, weighted by prod sigma over the loop."""
+    values = {}
+    for lp, ca in a.terms.items():
+        back = tuple(e ^ 1 for e in reversed(lp.edges))
+        cb = b.terms.get(Loop(lp.base, back))
+        if cb is None:
+            continue
+        w = 1.0
+        for e in lp.edges:
+            w *= alg.pf.sigma(e)
+        values[lp.base] = values.get(lp.base, 0.0) + ca.conjugate() * cb * w
+    return values
+
+
+def _complexify(alg, x, rng):
+    return alg.element({lp: c + 1j * rng.standard_normal()
+                        for lp, c in x.terms.items()},
+                       level=x.level, shading=x.shading)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "s4", "a5"])
+def test_inner_product_matches_dict_reference(name):
+    from graphloops import LoopAlgebra, builtin_graph, perron_frobenius
+    g = builtin_graph(name)
+    alg = LoopAlgebra(g, perron_frobenius(g))
+    rng = np.random.default_rng(16)
+    for level in (0, 1, 2, 3):
+        for shading in (EVEN, ODD):
+            a = random_element(alg, level, shading, rng)
+            # b holds some reversals of a's loops, and loops of its own
+            b = alg.involution(a).scale(0.5) + random_element(alg, level,
+                                                               shading, rng)
+            ca, cb = _complexify(alg, a, rng), _complexify(alg, b, rng)
+            # exact unless both sides are complex: numpy multiplies two
+            # complex arrays with fused multiply-adds, CPython does not
+            for x, y, rel in ((a, b, 0.0), (ca, b, 0.0), (a, cb, 0.0),
+                              (ca, cb, 1e-14)):
+                got = inner_product(alg, x, y)
+                want = np.zeros(g.n_vertices, dtype=got.dtype)
+                for v, c in ref_inner_product(alg, x, y).items():
+                    want[v] = c
+                assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def test_vertex_values_are_arrays_on_the_output_parity(test_algebras):
+    # every vertex-valued result: one entry per vertex, real or complex as
+    # its input, 0 at the vertices of the other parity
+    rng = np.random.default_rng(17)
+    for alg in test_algebras.values():
+        parity = np.array(alg.g.parity)
+        for level in (1, 2):
+            for shading in (EVEN, ODD):
+                real = random_element(alg, level, shading, rng)
+                for x in (real, _complexify(alg, real, rng)):
+                    results = [(trace_k(alg, k, x), shading * (-1) ** k)
+                               for k in range(level + 1)]
+                    results += [(usual_trace(alg, x), shading),
+                                (inner_product(alg, x, x), shading),
+                                (trace0_via_tangles(alg, x), shading)]
+                    for values, out in results:
+                        assert values.shape == (alg.g.n_vertices,)
+                        assert values.dtype == x.coeff.dtype
+                        assert not values[parity != out].any()
+                        assert values[parity == out].any()
 
 
 def test_inner_product_of_cup_is_delta(test_algebras):

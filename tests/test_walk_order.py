@@ -47,7 +47,7 @@ def path_trie(alg, depth):
     for _ in range(depth):
         for i in range(offsets[-2], offsets[-1]):
             start, edges = paths[i]
-            for e in g.edges_into(start):
+            for e in g._in[start]:
                 paths.append((g.src(e), (e,) + edges))
                 first.append(e)
                 parent.append(i)
