@@ -90,7 +90,7 @@ def cmd_moments(alg, args, report) -> bool:
 
     fock_vals = []
     if args.fock_n > 0:
-        space = FockSpace(alg, 2 * args.fock_n)
+        space = FockSpace(alg, args.fock_n)
         cup_op = space.cup_operator()
         vec = np.zeros(len(space.basis))
         vec[v0] = 1.0

@@ -7,8 +7,7 @@ element: equal rows are summed in input order, sums with |c| <= PRUNE_TOL
 times the largest input |c| are dropped and rows keep the order of their
 first appearance.  That is the order and arithmetic of a running dict sum,
 so every coefficient equals the one a dict of loops would hold, bit for bit.
-`Element.terms` is a read-only {Loop: coeff} view for I/O and the oracle
-routes.
+`Element.terms` is a read-only {Loop: coeff} view for I/O.
 
 Conventions (fixed once here, validated against the Fock operator model in
 tests):

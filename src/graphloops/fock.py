@@ -17,11 +17,10 @@ and products of such operators realize the graded products exactly on the
 truncation interior, which is what pins every sign and weight convention in
 the loop algebra.
 
-A vacuum expectation <v, c(e_1)...c(e_n) v> needs no word operator: the
-cached c(e) matrices are applied right to left to the vacuum vector of v
-(basis path v), one sparse matrix-vector product per letter, and the
-oracle shares the products of a common suffix across loops
-(`_vacuum_values`).
+A vacuum expectation <v, c(e_1)...c(e_L) v> needs no word operator: the
+oracle applies the cached c(e) right to left to a block of vacuum rows, one
+per word (`_vacuum_values`).  After d letters, a component that can still
+return sits on a path of length <= min(d, L - d), so depth L // 2 suffices.
 
 scipy.sparse is imported inside the methods that build operators, so
 importing the package does not pay for it.
@@ -34,14 +33,24 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import EVEN, ODD
-from .elements import (Element, Loop, LoopAlgebra, _expand, _frame, _loops,
-                       loop_label)
+from .elements import Element, Loop, LoopAlgebra, _expand, _frame, loop_label
 from .traces import _phi_words, _sigma_table
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 BASIS_CAP = 10 ** 6
+
+
+def _check_cap(alg: LoopAlgebra, depth: int) -> None:
+    """MemoryError if more than BASIS_CAP paths have length <= depth,
+    counted length by length (sum_m 1^T A^m 1) without building them."""
+    count, total = np.ones(alg.g.n_vertices), alg.g.n_vertices
+    for _ in range(depth):
+        count = np.bincount(alg._src, count[alg._tgt], len(count))
+        total += count.sum()
+        if total > BASIS_CAP:
+            raise MemoryError("path basis exceeds cap")
 
 
 class PathBasis:
@@ -56,6 +65,7 @@ class PathBasis:
     """
 
     def __init__(self, alg: LoopAlgebra, depth: int):
+        _check_cap(alg, depth)
         self.depth = depth
         n_v = alg.g.n_vertices
         edge_norm_sq = 1.0 / np.array(alg.pf.sigmas)
@@ -69,8 +79,6 @@ class PathBasis:
             norm_sq.append(norm_sq[-1][r] * edge_norm_sq[e])
             start = alg._src[e]
             offsets.append(offsets[-1] + len(e))
-            if offsets[-1] > BASIS_CAP:
-                raise MemoryError("path basis exceeds cap")
         self.offsets = offsets
         self.first, self.parent = np.concatenate(first), np.concatenate(parent)
         self.norm_sq = np.concatenate(norm_sq)
@@ -125,10 +133,9 @@ class FockSpace:
             out = out @ self.c(e)
         return out
 
-    def c_loop(self, lp: Loop, grade: int) -> sp.csr_matrix:
-        """Operator of one loop at frame depth `grade`."""
+    def c_loop(self, edges, grade: int) -> sp.csr_matrix:
+        """Operator of one loop's edge row at frame depth `grade`."""
         import scipy.sparse as sp
-        edges = lp.edges
         if len(edges) < 2 * grade:
             raise ValueError("loop shorter than twice the grade")
         out = sp.identity(len(self.basis), format="csr")
@@ -144,8 +151,8 @@ class FockSpace:
     def c_element(self, x: Element, grade: int) -> sp.csr_matrix:
         import scipy.sparse as sp
         out = sp.csr_matrix((len(self.basis), len(self.basis)))
-        for lp, coeff in x.terms.items():
-            out = out + coeff * self.c_loop(lp, grade)
+        for edges, coeff in zip(x.words.tolist(), x.coeff.tolist()):
+            out = out + coeff * self.c_loop(edges, grade)
         return out.tocsr()
 
     # -- distinguished operators -----------------------------------------
@@ -230,59 +237,54 @@ class FockSpace:
 def oracle_check_trace(alg: LoopAlgebra, max_len: int = 6, sigma=None) -> dict:
     """Worst |vacuum(c(w)) - pairing(w)| over all loops of length <= max_len.
 
-    Each vacuum expectation is read from the chain c(w) applied to the
-    vacuum vector, suffixes shared (`_vacuum_values`), which uses only the
-    create/annihilate matrices, never the pairing formula.  The pairing
-    side is one `_phi_words` call per (level, shading).
+    Per (level, shading), `_vacuum_values` walks the `loop_words` rows on a
+    space of depth max_len // 2 with create/annihilate alone, and the
+    pairing side is one `_phi_words` call.  The walk holds up to one row per
+    path of length <= max_len, so past BASIS_CAP such paths it does not start.
 
     `sigma` overrides the pairing-side edge weights only; injecting a wrong
     weight there is the harness-sanity fault test (the identity itself holds
     for any positive vertex weights, so corrupting both sides is invisible).
     """
-    space = FockSpace(alg, max_len)
+    _check_cap(alg, max_len)
+    space = FockSpace(alg, max_len // 2)
     sig = _sigma_table(alg, sigma)
-    loops, want = [], []
-    for level in range(0, max_len // 2 + 1):
-        for shading in (EVEN, ODD):
-            base, words = alg.loop_words(level, shading)
-            loops += _loops(base, words)
-            want.append(_phi_words(words, sig))
-    dev = np.abs(_vacuum_values(space, loops) - np.concatenate(want))
-    worst = float(dev.max())
-    worst_loop = loops[int(dev.argmax())] if worst > 0.0 else None
+    groups = [alg.loop_words(level, shading)
+              for level in range(max_len // 2 + 1) for shading in (EVEN, ODD)]
+    dev = np.concatenate([np.abs(_vacuum_values(space, b, w) - _phi_words(w, sig))
+                          for b, w in groups])
+    worst, label, i = float(dev.max()), None, int(dev.argmax())
+    for base, words in groups:          # the worst row, if any, is row i
+        if worst > 0.0 and 0 <= i < len(base):
+            label = loop_label(alg.g, Loop(int(base[i]), tuple(words[i].tolist())))
+        i -= len(base)
     return {
-        "loops_checked": len(loops),
+        "loops_checked": len(dev),
         "max_deviation": worst,
-        "worst_loop": None if worst_loop is None else loop_label(alg.g, worst_loop),
+        "worst_loop": label,
         "pass": worst <= 1e-9,
     }
 
 
-def _vacuum_values(space: FockSpace, loops: list[Loop]) -> np.ndarray:
-    """<base, c(w) base> of every loop, from create/annihilate alone.
-
-    The letters act right to left, so loops sharing a suffix share the
-    vectors it produces: the walk visits the reversed words of each base
-    in sorted order (a trie in depth-first order) and keeps one vector per
-    depth, applying only the letters past the common prefix.
-    """
-    got = np.empty(len(loops))
-    order = sorted(range(len(loops)),
-                   key=lambda i: (loops[i].base, loops[i].edges[::-1]))
-    base, word, stack = None, (), []
-    for i in order:
-        rev = loops[i].edges[::-1]
-        if loops[i].base != base:
-            base, word = loops[i].base, ()
-            stack = [np.zeros(len(space.basis))]
-            stack[0][base] = 1.0
-        common = next((j for j, (a, b) in enumerate(zip(word, rev)) if a != b),
-                      min(len(word), len(rev)))
-        del stack[common + 1:]
-        for e in rev[common:]:
-            stack.append(space.c(e) @ stack[-1])
-        got[i] = stack[-1][base]
-        word = rev
+def _vacuum_values(space: FockSpace, base: np.ndarray,
+                   words: np.ndarray) -> np.ndarray:
+    """<base[i], c(words[i]) base[i]> of every row, from create/annihilate
+    alone: a (rows x paths) block starts at the vacuum rows and takes the
+    letters right to left, each edge one sparse product over the rows that
+    carry it, in chunks of at most BASIS_CAP block entries.  Exact when the
+    space is at least half as deep as the words are long."""
+    step = max(1, BASIS_CAP // len(space.basis))
+    got = np.empty(len(base))
+    for lo in range(0, len(base), step):
+        at = base[lo:lo + step]
+        rows = np.arange(len(at))
+        block = np.zeros((len(at), len(space.basis)))
+        block[rows, at] = 1.0
+        for letters in words[lo:lo + step].T[::-1]:
+            for e in np.unique(letters).tolist():
+                r = np.flatnonzero(letters == e)
+                block[r] = (space.c(e) @ block[r].T).T
+        got[lo:lo + step] = block[rows, at]
     return got
 
 
@@ -343,13 +345,11 @@ def pk_commutation_residual(alg: LoopAlgebra, space: FockSpace,
     """
     if space.basis.depth < 4 * k + 2:
         space = FockSpace(alg, 4 * k + 2)
-    base, words = alg.loop_words(k, EVEN if k % 2 == 0 else ODD)
-    frame = np.flatnonzero(_frame(words, k, np.ones(len(alg._src))))[:8]
-    frame_words = _loops(base[frame], words[frame])
-    short_loops = alg.basis(1, EVEN)
+    words = alg.loop_words(k, EVEN if k % 2 == 0 else ODD)[1]
+    frame_words = words[_frame(words, k, np.ones(len(alg._src))) != 0][:8].tolist()
     worst = 0.0
-    for w in short_loops:
-        included = space.c_word(w.edges)
+    for w in alg.loop_words(1, EVEN)[1].tolist():
+        included = space.c_word(w)
         parity = EVEN
         for _ in range(k):
             included = space.include_operator(included, parity)
@@ -357,6 +357,6 @@ def pk_commutation_residual(alg: LoopAlgebra, space: FockSpace,
         for u in frame_words:
             z = space.c_loop(u, k)
             d = _interior(space, z @ included - included @ z,
-                          len(u.edges) + len(w.edges) + 2 * k)
+                          len(u) + len(w) + 2 * k)
             worst = max(worst, float(d.max()) if d.nnz else 0.0)
     return worst

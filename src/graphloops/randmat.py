@@ -118,9 +118,10 @@ class _LazyBlock:
         if new.shape[1]:
             # P_new* G
             h = normals(self.rng, new.shape[1], self.A.shape[1], self.var)
-            h -= (h @ self.Q) @ self.Q.conj().T
+            q_star = self.Q.conj().T
+            h -= (h @ self.Q) @ q_star
             nb = new.conj().T @ self.B
-            self.A = np.vstack([self.A, nb @ self.Q.conj().T + h])
+            self.A = np.vstack([self.A, nb @ q_star + h])
             self.B = self.B - new @ nb
             self.P = np.hstack([self.P, new])
         return _ct(self.A, _ct(self.P, u))
@@ -274,11 +275,11 @@ def convergence_sweep(alg: LoopAlgebra, loops, size_grid, samples: int,
     grid = list(size_grid)
     specs = [BlockModelSpec(alg, n, m, seed) for (n, m) in grid]
     table = _sample_table(specs, loops, samples, probes, threads)
+    targets = [loop_target(alg, lp) for lp in loops]
     rows: dict[Loop, list[dict]] = {lp: [] for lp in loops}
     for si, (n, m) in enumerate(grid):
-        for j, lp in enumerate(loops):
+        for j, (lp, target) in enumerate(zip(loops, targets)):
             mean, stderr = _mean_stderr(table[:, si, j])
-            target = loop_target(alg, lp)
             rows[lp].append({
                 "N": n, "M": m, "samples": samples, "seed": seed,
                 "estimate": mean, "stderr": stderr,

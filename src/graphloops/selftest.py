@@ -16,7 +16,7 @@ from .fock import FockSpace, homomorphism_residual, oracle_check_trace
 from .ncpairings import free_poisson_moments, noncrossing_pairings
 from .tangles import (diagram_program, eval_tangle, random_element,
                       rotation_program, trace0_via_tangles, wedge_program)
-from .traces import gram_psd_check, phi_vertex, trace_k
+from .traces import _phi_word_pairing, _phi_words, gram_psd_check, trace_k
 
 
 def _algebras():
@@ -63,11 +63,10 @@ def run_selftest(seed: int = 11):
         worst = 0.0
         for level in range(4):
             for shading in (EVEN, ODD):
-                for lp in alg.basis(level, shading):
-                    x = alg.single_loop(lp)
-                    worst = max(worst, abs(
-                        phi_vertex(alg, x, lp.base, "pairing")
-                        - phi_vertex(alg, x, lp.base, "recursive")))
+                words = alg.loop_words(level, shading)[1]
+                recursive = _phi_words(words, alg._sigma[1])
+                for w, rec in zip(words.tolist(), recursive.tolist()):
+                    worst = max(worst, abs(_phi_word_pairing(alg, w) - rec))
         yield f"{name}: pairing vs recursive functional", worst
 
         # trace property and Markov

@@ -110,7 +110,7 @@ def test_criterion_4_operator_homomorphism(test_algebras):
             shading = EVEN if t % 2 == 0 else ODD
             basis = [lp for lvl in range(max(t, 1), exhaustive_max + 1)
                      for lp in alg.basis(lvl, shading)]
-            ops = {lp: space.c_loop(lp, t) for lp in basis}
+            ops = {lp: space.c_loop(lp.edges, t) for lp in basis}
             for la, lb in itertools.product(basis, repeat=2):
                 prod = alg.wedge(t, alg.single_loop(la), alg.single_loop(lb))
                 rhs = space.c_element(prod, t)

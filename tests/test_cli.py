@@ -372,6 +372,17 @@ def test_fock_past_basis_cap_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_len", ["17", "22"])
+def test_fock_max_len_past_basis_cap_is_usage_error(capsys, max_len):
+    # the oracle's basis is only max_len // 2 deep, but its loop walk holds
+    # up to as many rows as there are paths of length <= max_len
+    code = main(["fock", "--graph", "s4", "--max-len", max_len])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "path basis exceeds cap" in err
+    assert "Traceback" not in err
+
+
 def test_package_import_leaves_scipy_sparse_unloaded():
     code = ("import sys, graphloops, graphloops.cli; "
             "print('scipy.sparse' in sys.modules)")

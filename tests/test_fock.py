@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphloops import EVEN, ODD, loop_from_tokens
+from graphloops import (EVEN, ODD, LoopAlgebra, builtin_graph, loop_from_tokens,
+                        perron_frobenius)
 from graphloops.fock import (FockSpace, _vacuum_values, commutator_diagnostics,
                              homomorphism_residual, oracle_check_trace)
 from graphloops.ncpairings import free_poisson_moments
@@ -136,17 +137,66 @@ def test_vector_chain_matches_word_operator(a3, s4):
 
 
 def test_suffix_walk_matches_letter_by_letter_chains(test_algebras):
-    # the oracle's shared-suffix walk reads the same vectors as one chain
-    # of matrix-vector products per loop
+    # the oracle's block walk reads the same values as one chain of
+    # matrix-vector products per loop
     for alg in test_algebras.values():
         space = FockSpace(alg, 6)
-        loops = [lp for level in range(4) for shading in (EVEN, ODD)
-                 for lp in alg.basis(level, shading)]
-        got = _vacuum_values(space, loops)
-        for lp, value in zip(loops, got):
-            vacuum = np.zeros(len(space.basis))
-            vacuum[lp.base] = 1.0
-            assert value == apply_word(space, lp.edges, vacuum)[lp.base], lp
+        for level in range(4):
+            for shading in (EVEN, ODD):
+                base, words = alg.loop_words(level, shading)
+                got = _vacuum_values(space, base, words)
+                for lp, value in zip(alg.basis(level, shading), got):
+                    vacuum = np.zeros(len(space.basis))
+                    vacuum[lp.base] = 1.0
+                    assert value == apply_word(space, lp.edges,
+                                               vacuum)[lp.base], lp
+
+
+def _loop_groups(alg, max_len):
+    return [alg.loop_words(level, shading)
+            for level in range(max_len // 2 + 1) for shading in (EVEN, ODD)]
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "s4", "a5"])
+def test_half_depth_walk_equals_full_depth_walk(name):
+    # a component that can still return to the vacuum never leaves the
+    # paths of length <= L/2, so the shallow space gives the same bits
+    g = builtin_graph(name)
+    alg = LoopAlgebra(g, perron_frobenius(g))
+    half, full = FockSpace(alg, 5), FockSpace(alg, 10)
+    for base, words in _loop_groups(alg, 10):
+        assert np.array_equal(_vacuum_values(half, base, words),
+                              _vacuum_values(full, base, words))
+
+
+def test_walk_in_chunks_equals_one_block(s4, monkeypatch):
+    space = FockSpace(s4, 4)
+    groups = _loop_groups(s4, 8)
+    whole = [_vacuum_values(space, base, words) for base, words in groups]
+    # three rows per block: every group of more than three loops is chunked
+    monkeypatch.setattr("graphloops.fock.BASIS_CAP", 3 * len(space.basis))
+    for (base, words), want in zip(groups, whole):
+        assert np.array_equal(_vacuum_values(space, base, words), want)
+
+
+def test_fock_moments_at_depth_n_equal_depth_2n(test_algebras):
+    # the moments subcommand reads cup^k at the vacuum for k <= n on a
+    # space of depth n; twice that depth must give the same bits
+    n = 7
+    for alg in test_algebras.values():
+        v0 = alg.g.vertices_of_parity(EVEN)[0]
+        columns = []
+        for depth in (n, 2 * n):
+            space = FockSpace(alg, depth)
+            cup = space.cup_operator()
+            vec = np.zeros(len(space.basis))
+            vec[v0] = 1.0
+            column = []
+            for _ in range(n):
+                vec = cup @ vec
+                column.append(float(vec[v0]))
+            columns.append(column)
+        assert columns[0] == columns[1]
 
 
 def test_vacuum_trace_oracle_fault_injection(a3):
