@@ -91,13 +91,7 @@ def cmd_moments(alg, args, report) -> bool:
     fock_vals = []
     if args.fock_n > 0:
         space = FockSpace(alg, args.fock_n)
-        cup_op = space.cup_operator()
-        vec = np.zeros(len(space.basis))
-        vec[v0] = 1.0
-        fock_vals.append(1.0)
-        for _ in range(args.fock_n):
-            vec = cup_op @ vec
-            fock_vals.append(float(vec[v0]))
+        fock_vals = space.vacuum_moments(space.cup_operator(), v0, args.fock_n)
 
     for n in range(args.n + 1):
         report.add(f"m[{n}] recursion", rec[n])

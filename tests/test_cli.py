@@ -383,13 +383,28 @@ def test_fock_max_len_past_basis_cap_is_usage_error(capsys, max_len):
     assert "Traceback" not in err
 
 
+SCIPY_PROBE = """
+import json, os, sys
+import graphloops, graphloops.cli
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for argv in (["moments", "--graph", "s4", "--n", "3", "--fock-n", "3"],
+             ["fock", "--graph", "a3", "--max-len", "4", "--depth", "6"],
+             ["selftest"]):
+    code = graphloops.cli.main(argv + ["--out", os.devnull])
+    loaded[argv[0]] = [code] + sorted(m for m in sys.modules
+                                      if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
 def test_package_import_leaves_scipy_sparse_unloaded():
-    code = ("import sys, graphloops, graphloops.cli; "
-            "print('scipy.sparse' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
+    # numpy is the one runtime dependency: neither the import nor the Fock
+    # route (the moments column, the oracle, the residuals) loads scipy
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == {"import": [], "moments": [0],
+                                       "fock": [0], "selftest": [0]}
 
 
 def test_report_determinism():
