@@ -29,6 +29,8 @@ from ._normals import normals
 from .elements import Loop, LoopAlgebra
 from .traces import _phi_word
 
+_PHASES = np.exp(0.5j * np.pi * np.arange(4))    # i^z, as np.exp gives it
+
 
 @dataclass(frozen=True)
 class BlockModelSpec:
@@ -190,8 +192,7 @@ class SampledModel:
 
     def probe_matrix(self, dim: int, probes: int) -> np.ndarray:
         """Complex Rademacher probes from the current loop's stream."""
-        z = self.rng.integers(0, 4, size=(dim, probes))
-        return np.exp(0.5j * np.pi * z)
+        return _PHASES[self.rng.integers(0, 4, size=(dim, probes))]
 
 
 @dataclass

@@ -44,6 +44,8 @@ from .ncpairings import (catalan, indecomposable_dimension_series,
 
 
 _CHUNK = 4096      # rows per pass of the phi kernel; bounds its scratch
+_PAIR_BLOCK = 1 << 16   # pair rows per kernel call of `_gram`
+GRAM_CAP = 1 << 25      # phi rows of one freedim degree (s4: 4096^2 at n = 6)
 
 
 def _phi_words(words: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -210,11 +212,16 @@ def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
 
 def _gram(alg: LoopAlgebra, v: int, words: np.ndarray,
           sigmas: np.ndarray) -> np.ndarray:
-    """The Gram of the loops `words`, all based at v."""
+    """The Gram mu(v) phi(dagger(w_i) w_j) of the loops `words`, all based
+    at v; its pair rows are built about `_PAIR_BLOCK` at a time."""
     n = len(words)
-    pairs = np.concatenate([np.repeat(words[:, ::-1] ^ 1, n, axis=0),
-                            np.tile(words, (n, 1))], axis=1)
-    return (alg.pf.mu[v] * _phi_words(pairs, sigmas)).reshape(n, n)
+    step, out = max(1, _PAIR_BLOCK // max(n, 1)), np.empty((n, n))
+    for lo in range(0, n, step):
+        left = words[lo:lo + step, ::-1] ^ 1
+        pairs = np.concatenate([np.repeat(left, n, axis=0),
+                                np.tile(words, (len(left), 1))], axis=1)
+        out[lo:lo + step] = _phi_words(pairs, sigmas).reshape(len(left), n)
+    return alg.pf.mu[v] * out
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
@@ -246,46 +253,62 @@ def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,
 # -- free graded structure ---------------------------------------------------
 
 
-def _scalar_tl_trace(alg: LoopAlgebra, x: Element) -> float:
-    """mu-weighted average of the vertex functionals over even vertices."""
-    mu = alg._mu * (np.array(alg.g.parity) == EVEN)
-    return mu @ trace_k(alg, 0, x) / mu.sum()
+def _tl_gram(alg: LoopAlgebra, elems: list[Element]) -> np.ndarray:
+    """G[i, j] = sum_{v even} mu_v phi_v(x_i* wedge_0 x_j) / sum_{v even} mu_v
+    for real even elements of one level, as sum_v C_v^T K_v C_v / sum mu_v:
+    C_v holds their coefficients on their merged rows U_v at v, K_v = `_gram`."""
+    base = np.concatenate([x.base for x in elems])
+    words = np.concatenate([x.words for x in elems])
+    _, first, u = np.unique(_row_keys(base, words)[1], return_index=True,
+                            return_inverse=True)
+    c = np.zeros((len(first), len(elems)))
+    c[u, np.repeat(np.arange(len(elems)), [len(x.base) for x in elems])] = \
+        np.concatenate([x.coeff for x in elems])
+    even = alg.g.vertices_of_parity(EVEN)
+    gram = np.zeros((len(elems), len(elems)))
+    for v in even:
+        at = base[first] == v
+        gram += c[at].T @ _gram(alg, v, words[first[at]], alg._sigma[1]) @ c[at]
+    return gram / alg._mu[even].sum()
 
 
-def _numerical_rank(gram: np.ndarray, rel_tol: float = 1e-8) -> int:
+def _numerical_rank(gram: np.ndarray, rel_tol: float | None = None) -> int:
+    """Singular values above rel_tol * sigma_max; by default above the
+    rounding floor max(rows, cols) eps sigma_max (numpy's matrix_rank)."""
     if gram.size == 0:
         return 0
     sv = np.linalg.svd(gram, compute_uv=False)
-    top = sv[0] if len(sv) else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * top))
+    if rel_tol is None:
+        rel_tol = max(gram.shape) * np.finfo(float).eps
+    return int(np.sum(sv > rel_tol * sv[0]))
 
 
 def free_structure_report(alg: LoopAlgebra, nmax: int = 4,
-                          rank_tol: float = 1e-8) -> dict:
+                          rank_tol: float | None = None) -> dict:
     """Dimensions of the new-generator spaces of the Temperley-Lieb graded
     algebra, versus the series coefficients of 1 - 1/Phi_TL.
 
-    For each degree n: the full TL Gram rank (should be Catalan(n) for
-    delta >= 2), the rank of the span of products of lower-degree diagrams,
-    and their difference, compared against the expected coefficient.
+    For each degree n: the rank of the diagrams' Gram `_tl_gram` (should be
+    Catalan(n) for delta >= 2), the rank of its block on the products of
+    lower-degree diagrams, and their difference, compared against the
+    expected coefficient.  Ranks follow `_numerical_rank` with rank_tol.
+    A MemoryError comes before any element is built if a degree's Gram
+    could read more than GRAM_CAP phi rows (closed walks bound the loops).
     """
     if alg.pf.delta < 2.0 - 1e-9:
         raise ValueError("free-structure report requires delta >= 2")
+    a, even = alg.g.adjacency(), alg.g.vertices_of_parity(EVEN)
+    for n in range(1, nmax + 1):
+        walks = np.linalg.matrix_power(a, 2 * n).diagonal()[even]
+        if np.square(walks).sum() > GRAM_CAP:
+            raise MemoryError("freedim Gram exceeds cap")
     expected = indecomposable_dimension_series(nmax)
     rows = []
     ok_all = True
     for n in range(1, nmax + 1):
         pairings = list(noncrossing_pairings(2 * n))
-        elems = [alg.tl_element(p) for p in pairings]
         decomposable = [i for i, p in enumerate(pairings) if _splits(p, n)]
-        gram = np.zeros((len(elems), len(elems)))
-        for i, x in enumerate(elems):
-            xd = alg.involution(x)
-            for j in range(i, len(elems)):
-                val = _scalar_tl_trace(alg, alg.wedge(0, xd, elems[j]))
-                gram[i, j] = gram[j, i] = val
+        gram = _tl_gram(alg, [alg.tl_element(p) for p in pairings])
         full_rank = _numerical_rank(gram, rank_tol)
         sub = gram[np.ix_(decomposable, decomposable)]
         sub_rank = _numerical_rank(sub, rank_tol)

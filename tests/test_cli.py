@@ -101,6 +101,16 @@ def test_freedim_subcommand(capsys):
     assert code == 0
 
 
+def test_freedim_past_its_gram_cap_is_usage_error(capsys):
+    # degree 7 on s4 would read 16384^2 phi rows; the cap stops it before
+    # any element is built
+    code = main(["freedim", "--graph", "s4", "--n", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "freedim Gram exceeds cap" in captured.err
+
+
 def _cli_subprocess(*argv):
     return subprocess.run([sys.executable, "-m", "graphloops.cli", *argv],
                           capture_output=True, text=True)

@@ -25,6 +25,17 @@ def test_loop_trace_is_pinned(a3):
         assert got == pytest.approx(value, rel=1e-9), word
 
 
+def test_probe_phases_equal_the_exponential_bit_for_bit(a3):
+    # the probes read a table of the four phases; every `mc` row rests on
+    # them being the values np.exp(0.5j pi z) gives, to the last bit
+    model = SampledModel(BlockModelSpec(a3, 3, 3, seed=7), 0)
+    model.rng = np.random.default_rng(11)
+    z = model.probe_matrix(2280, 32)
+    model.rng = np.random.default_rng(11)
+    draw = model.rng.integers(0, 4, size=(2280, 32))
+    assert z.tobytes() == np.exp(0.5j * np.pi * draw).tobytes()
+
+
 def test_block_dims_and_tr_d(a3):
     spec = BlockModelSpec(a3, 40, 40, seed=1)
     g = a3.g

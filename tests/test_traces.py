@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from graphloops import EVEN, ODD, Loop, loop_from_tokens
-from graphloops.ncpairings import free_poisson_moments
+import graphloops.traces as traces
+from graphloops import (EVEN, ODD, BipartiteGraph, Loop, LoopAlgebra,
+                        loop_from_tokens, perron_frobenius)
+from graphloops.ncpairings import free_poisson_moments, noncrossing_pairings
 from graphloops.tangles import random_element, trace0_via_tangles
 from graphloops.traces import (free_structure_report, gram_matrix,
                                gram_psd_check, inner_product, phi_vertex,
@@ -287,3 +291,78 @@ def test_free_structure_dimensions(s4):
 def test_free_structure_needs_delta_two(a3):
     with pytest.raises(ValueError):
         free_structure_report(a3, nmax=2)
+
+
+def test_free_structure_dimensions_at_degree_five(s4):
+    # the degree-5 Gram spans nine decades of singular values; the rounding
+    # floor, not a fixed 1e-8 cut, is the rank rule that keeps all of them
+    report = free_structure_report(s4, nmax=5)
+    assert report["pass"]
+    assert [row["dim_new_generators"] for row in report["rows"]] == [1, 1, 2, 5, 14]
+    assert [row["tl_dim"] for row in report["rows"]] == [1, 2, 5, 14, 42]
+
+
+def _algebra(vertices, edges):
+    g = BipartiteGraph.build(vertices, edges)
+    return LoopAlgebra(g, perron_frobenius(g))
+
+
+STAR5 = ([("c", "+")] + [(f"p{i}", "-") for i in range(5)],
+         [(f"e{i}", "c", f"p{i}") for i in range(5)])
+K33 = ([(f"a{i}", "+") for i in range(3)] + [(f"b{j}", "-") for j in range(3)],
+       [(f"e{i}{j}", f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+
+
+def _diagrams(alg, n):
+    return [alg.tl_element(p) for p in noncrossing_pairings(2 * n)]
+
+
+def _pairwise_tl_gram(alg, elems):
+    """The Gram entry by entry: the grade-0 trace of x_i* wedge_0 x_j at
+    every vertex, averaged with weights mu over the even vertices."""
+    mu = alg._mu * (np.array(alg.g.parity) == EVEN)
+    gram = np.empty((len(elems), len(elems)))
+    for i, x in enumerate(elems):
+        xd = alg.involution(x)
+        for j, y in enumerate(elems):
+            gram[i, j] = mu @ trace_k(alg, 0, alg.wedge(0, xd, y)) / mu.sum()
+    return gram
+
+
+@pytest.mark.parametrize("graph, nmax", [("s4", 4), (STAR5, 3), (K33, 3)],
+                         ids=["s4", "star5", "k33"])
+def test_tl_gram_kernel_matches_pairwise_reference(s4, graph, nmax):
+    # delta = 2, sqrt 5 and 3; K_{3,3} has three even vertices
+    alg = s4 if graph == "s4" else _algebra(*graph)
+    for n in range(1, nmax + 1):
+        elems = _diagrams(alg, n)
+        got, want = traces._tl_gram(alg, elems), _pairwise_tl_gram(alg, elems)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
+
+def test_tl_gram_diagonal_equals_exact_sum_of_its_terms():
+    # the entry of the diagram with the most loops on the five-leaf star at
+    # degree 4: 625 loops, 390,625 products c_a K[a, b] c_b at the centre
+    alg = _algebra(*STAR5)
+    elems = _diagrams(alg, 4)
+    i = max(range(len(elems)), key=lambda i: len(elems[i].base))
+    x = elems[i]
+    (v,) = alg.g.vertices_of_parity(EVEN)
+    kernel = traces._gram(alg, v, x.words, alg._sigma[1])
+    exact = math.fsum((np.outer(x.coeff, x.coeff) * kernel).ravel()) / alg._mu[v]
+    got = traces._tl_gram(alg, elems)[i, i]
+    assert len(x.base) == 625
+    assert abs(got - exact) <= 1e-14 * abs(exact)
+
+
+def test_free_structure_reads_one_loop_gram_per_degree(s4, monkeypatch):
+    # no wedge, and one phi row per pair of loops at the centre per degree:
+    # 4^2 + 16^2 + 64^2 + 256^2
+    rows, wedges = [], []
+    phi, wedge = traces._phi_words, LoopAlgebra.wedge
+    monkeypatch.setattr(traces, "_phi_words",
+                        lambda w, s: rows.append(len(w)) or phi(w, s))
+    monkeypatch.setattr(LoopAlgebra, "wedge",
+                        lambda self, *a: wedges.append(a) or wedge(self, *a))
+    assert free_structure_report(s4, nmax=4)["pass"]
+    assert (len(wedges), sum(rows)) == (0, 69_904)
