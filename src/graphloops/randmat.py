@@ -212,25 +212,23 @@ def loop_target(alg: LoopAlgebra, lp: Loop) -> float:
     return alg.pf.mu[lp.base] * _phi_word(alg, lp.edges)
 
 
-def _sample_table(specs: list[BlockModelSpec], loops: list[Loop],
-                  samples: int, probes: int, threads: int) -> np.ndarray:
-    """samples x sizes x loops array of per-sample normalized traces.
+def estimate_traces(spec: BlockModelSpec, loops, samples: int,
+                    probes: int = 8, threads: int = 1) -> list[TraceEstimate]:
+    """Monte Carlo estimates for a batch of loops over shared samples.
 
-    Each size is evaluated on its own model of sample i.  Sample i always
-    uses the streams of (seed, i) and the rows come back in index order, so
-    results do not depend on the thread count.  A standard error needs at
-    least two samples.
+    Sample i evaluates every loop on its own `SampledModel(spec, i)`, whose
+    streams are keyed on (seed, i, N, M) and the loop, and the samples come
+    back in index order, so results do not depend on the thread count.  A
+    standard error needs at least two samples.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
+    loops = list(loops)
 
-    def one(i: int) -> list[list[float]]:
-        out = []
-        for spec in specs:
-            model = SampledModel(spec, i)
-            out.append([model.loop_trace(lp, probes) for lp in loops])
-        return out
+    def one(i: int) -> list[float]:
+        model = SampledModel(spec, i)
+        return [model.loop_trace(lp, probes) for lp in loops]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -238,25 +236,11 @@ def _sample_table(specs: list[BlockModelSpec], loops: list[Loop],
             data = list(pool.map(one, range(samples)))
     else:
         data = [one(i) for i in range(samples)]
-    return np.asarray(data)
-
-
-def _mean_stderr(col: np.ndarray) -> tuple[float, float]:
-    return float(col.mean()), float(col.std(ddof=1) / math.sqrt(len(col)))
-
-
-def estimate_traces(spec: BlockModelSpec, loops, samples: int,
-                    probes: int = 8, threads: int = 1) -> list[TraceEstimate]:
-    """Monte Carlo estimates for a batch of loops over shared samples.
-
-    Sample i always uses the streams of (seed, i), so results do not depend
-    on the thread count.
-    """
-    loops = list(loops)
-    table = _sample_table([spec], loops, samples, probes, threads)[:, 0, :]
-    return [TraceEstimate(*_mean_stderr(table[:, j]), samples,
-                          loop_target(spec.alg, lp))
-            for j, lp in enumerate(loops)]
+    table = np.asarray(data)
+    return [TraceEstimate(float(col.mean()),
+                          float(col.std(ddof=1) / math.sqrt(samples)),
+                          samples, loop_target(spec.alg, lp))
+            for col, lp in zip(table.T, loops)]
 
 
 def estimate_trace(spec: BlockModelSpec, lp: Loop, samples: int,
@@ -269,22 +253,20 @@ def convergence_sweep(alg: LoopAlgebra, loops, size_grid, samples: int,
                       threads: int = 1) -> dict[Loop, list[dict]]:
     """Estimates across a grid of (N, M) sizes; one row list per loop.
 
-    Every size draws its own model of each sample index from a stream keyed
-    on (N, M), so the rows are independent estimates.
+    Each size is one `estimate_traces` call on `BlockModelSpec(alg, N, M,
+    seed)`, whose streams are keyed on (N, M), so the rows are independent
+    estimates.
     """
     loops = list(loops)
-    grid = list(size_grid)
-    specs = [BlockModelSpec(alg, n, m, seed) for (n, m) in grid]
-    table = _sample_table(specs, loops, samples, probes, threads)
-    targets = [loop_target(alg, lp) for lp in loops]
     rows: dict[Loop, list[dict]] = {lp: [] for lp in loops}
-    for si, (n, m) in enumerate(grid):
-        for j, (lp, target) in enumerate(zip(loops, targets)):
-            mean, stderr = _mean_stderr(table[:, si, j])
+    for n, m in size_grid:
+        estimates = estimate_traces(BlockModelSpec(alg, n, m, seed), loops,
+                                    samples, probes, threads)
+        for lp, est in zip(loops, estimates):
             rows[lp].append({
                 "N": n, "M": m, "samples": samples, "seed": seed,
-                "estimate": mean, "stderr": stderr,
-                "target": target, "abs_err": abs(mean - target),
+                "estimate": est.mean, "stderr": est.stderr,
+                "target": est.target, "abs_err": est.abs_err,
             })
     return rows
 

@@ -14,8 +14,9 @@ from .graphs import EVEN, ODD, builtin_graph, perron_frobenius
 from .elements import LoopAlgebra
 from .fock import FockSpace, homomorphism_residual, oracle_check_trace
 from .ncpairings import free_poisson_moments, noncrossing_pairings
-from .tangles import (diagram_program, eval_tangle, random_element,
-                      rotation_program, trace0_via_tangles, wedge_program)
+from .tangles import (diagram_program, eval_tangle, parse_tangle,
+                      random_element, rotation_program, trace0_via_tangles,
+                      wedge_program)
 from .traces import _phi_word_pairing, _phi_words, gram_psd_check, trace_k
 
 
@@ -99,10 +100,10 @@ def run_selftest(seed: int = 11):
 
         # tangle engine: circle removal, zigzags, diagram oracle
         x = random_element(alg, 2, EVEN, rng)
-        prog = _circle_program(2, EVEN)
+        prog = parse_tangle("tangle circle(a: 2+) -> 2+ { load a; cup 1+; cap 1; }")
         yield (f"{name}: cap after cup = delta",
                (eval_tangle(alg, prog, {"a": x}) - x.scale(delta)).norm_inf())
-        prog = _zigzag_program(2, EVEN)
+        prog = parse_tangle("tangle zigzag(a: 2+) -> 2+ { load a; cup 2+; cap 1; }")
         yield (f"{name}: zigzag identity",
                (eval_tangle(alg, prog, {"a": x}) - x).norm_inf())
         worst = 0.0
@@ -136,17 +137,3 @@ def run_selftest(seed: int = 11):
             b = random_element(alg, t + 1, shading, rng)
             yield (f"{name}: operator homomorphism grade {t}",
                    homomorphism_residual(alg, t, a, b, space))
-
-
-def _circle_program(level, shading):
-    from .tangles import Layer, Slot, TangleProgram
-    layers = (Layer("load", "a"), Layer("cup", 1, shading), Layer("cap", 1))
-    return TangleProgram("circle", (Slot("a", level, shading),), level,
-                         shading, layers)
-
-
-def _zigzag_program(level, shading):
-    from .tangles import Layer, Slot, TangleProgram
-    layers = (Layer("load", "a"), Layer("cup", 2, shading), Layer("cap", 1))
-    return TangleProgram("zigzag", (Slot("a", level, shading),), level,
-                         shading, layers)

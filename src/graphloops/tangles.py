@@ -21,6 +21,11 @@ the curvature weights of the graph planar algebra:
 cap then cup at one position multiplies by the loop parameter delta (the
 eigenvector identity), and the two zigzags are exact identities; both are
 enforced by tests, not assumed.
+
+A program is valid when it reads each declared input exactly once and every
+layer fits the boundary it meets, ending on the declared output level.  One
+function, `_misfit`, decides this; `parse_tangle` and `eval_tangle` both call
+it, so a program built in code is held to the rule a parsed one is.
 """
 
 from __future__ import annotations
@@ -72,16 +77,10 @@ class TangleProgram:
         head = (f"tangle {self.name}({sig}) -> "
                 f"{self.out_level}{_SHADING_NAME[self.out_shading]} {{")
         body = []
-        for layer in self.layers:
-            if layer.kind in ("load", "tensor"):
-                body.append(f"  {layer.kind} {layer.arg};")
-            elif layer.kind == "cap":
-                body.append(f"  cap {layer.arg};")
-            elif layer.kind == "cup":
-                sh = _SHADING_NAME[layer.shading] if layer.shading else ""
-                body.append(f"  cup {layer.arg}{sh};")
-            else:
-                body.append("  rotate;")
+        for layer in self.layers:           # kind[ arg][shading];
+            arg = "" if layer.arg is None else f" {layer.arg}"
+            shading = _SHADING_NAME.get(layer.shading, "")
+            body.append(f"  {layer.kind}{arg}{shading};")
         return "\n".join([head] + body + ["}"])
 
 
@@ -125,18 +124,60 @@ class _Cursor:
             raise TangleSyntaxError(f"expected {expect!r}, got {tok!r}", line, col)
         return tok, line, col
 
-    def here(self):
-        if self.i < len(self.toks):
-            return self.toks[self.i][1], self.toks[self.i][2]
-        return (self.toks[-1][1], self.toks[-1][2]) if self.toks else (1, 1)
+
+def _misfit(prog: TangleProgram) -> tuple[int, str] | None:
+    """The first validity rule `prog` breaks, as (layer number, message).
+
+    One walk over the boundary sizes.  Each layer must be of a known kind,
+    `load` and `tensor` must read a declared input that no earlier layer
+    read, `load` needs the empty boundary, and a cap, cup or rotate must fit
+    the boundary before it.  At the end, a program with no layers, an input
+    never read or a last boundary other than the declared output is charged
+    to layer len(layers) + 1.  None when every rule holds.
+    """
+    levels = {s.name: s.level for s in prog.inputs}
+    unread = dict.fromkeys(levels)
+    points = 0
+    for n, layer in enumerate(prog.layers, start=1):
+        kind, p = layer.kind, layer.arg
+        what = kind if p is None else f"{kind} {p}"
+        if kind not in ("load", "tensor", "cap", "cup", "rotate"):
+            return n, f"layer {n} ({what}) is of no known kind"
+        if kind in ("load", "tensor") and p not in levels:
+            return n, (f"layer {n} ({what}) reads an undeclared input "
+                       f"(unknown input {p!r})")
+        if kind in ("load", "tensor") and p not in unread:
+            return n, f"layer {n} ({what}) reads input {p!r} a second time"
+        if (kind == "cup" and not 1 <= p <= points + 1
+                or kind == "cap" and not 1 <= p <= points - 1
+                or kind == "rotate" and points < 2
+                or kind == "load" and points):
+            return n, (f"layer {n} ({what}) does not fit a boundary of "
+                       f"{points} points (out of range)")
+        if kind in ("load", "tensor"):
+            del unread[p]
+            points += 2 * levels[p]
+        elif kind != "rotate":
+            points += 2 if kind == "cup" else -2
+    end = len(prog.layers) + 1
+    if not prog.layers:
+        return end, "the program has no layers and leaves no boundary"
+    if unread:
+        return end, f"inputs never read: {list(unread)}"
+    if points != 2 * prog.out_level:
+        return end, (f"final boundary has {points} points, declared output "
+                     f"needs {2 * prog.out_level}")
+    return None
 
 
 def parse_tangle(text: str) -> TangleProgram:
-    """Parse and statically validate a layered tangle program.
+    """Parse a layered tangle program and check it against `_misfit`.
 
-    Boundary-point counts are simulated at parse time, so out-of-range cap
-    and cup positions, arity mismatches and a wrong declared output level are
-    all rejected here.
+    The parser reads only syntax: tokens, integer cap and cup positions and
+    shading marks.  A program that breaks a validity rule raises
+    `TangleSyntaxError` with the rule's message, placed at the offending
+    layer's argument (the keyword of an argument-free layer) or, for a
+    fault found at the end, at the closing brace.
     """
     cur = _Cursor(text)
     cur.next("tangle")
@@ -166,75 +207,44 @@ def parse_tangle(text: str) -> TangleProgram:
         raise TangleSyntaxError("expected shading + or -", line, col)
     cur.next("{")
 
-    by_name = {s.name: s for s in slots}
     layers: list[Layer] = []
-    count = 0
-    loaded: set[str] = set()
+    where: list[tuple[int, int]] = []       # token position of each layer
     while cur.peek() != "}":
         kind, line, col = cur.next()
-        if kind in ("load", "tensor"):
-            slot_name, sline, scol = cur.next()
-            slot = by_name.get(slot_name)
-            if slot is None:
-                raise TangleSyntaxError(f"unknown input {slot_name!r}", sline, scol)
-            if slot_name in loaded:
-                raise TangleSyntaxError(f"input {slot_name!r} used twice", sline, scol)
-            if kind == "load" and count != 0:
-                raise TangleSyntaxError("load needs an empty boundary", line, col)
-            loaded.add(slot_name)
-            count += 2 * slot.level
-            layers.append(Layer(kind, slot_name))
-        elif kind == "cap":
-            pos_tok, pline, pcol = cur.next()
-            pos = int(pos_tok) if pos_tok.isdigit() else None
-            if pos is None or not 1 <= pos <= count - 1:
-                raise TangleSyntaxError(
-                    f"cap position out of range (boundary has {count} points)",
-                    pline, pcol)
-            count -= 2
-            layers.append(Layer("cap", pos))
-        elif kind == "cup":
-            pos_tok, pline, pcol = cur.next()
-            pos = int(pos_tok) if pos_tok.isdigit() else None
-            if pos is None or not 1 <= pos <= count + 1:
-                raise TangleSyntaxError(
-                    f"cup position out of range (boundary has {count} points)",
-                    pline, pcol)
-            shading = None
-            if cur.peek() in _SHADING:
-                sh_tok, _, _ = cur.next()
-                shading = _SHADING[sh_tok]
-            count += 2
-            layers.append(Layer("cup", pos, shading))
-        elif kind == "rotate":
-            if count < 2:
-                raise TangleSyntaxError("rotate needs a boundary", line, col)
-            layers.append(Layer("rotate"))
-        else:
-            raise TangleSyntaxError(f"unknown layer {kind!r}", line, col)
+        arg = shading = None
+        if kind in ("load", "tensor", "cap", "cup"):
+            arg, line, col = cur.next()
+        if kind in ("cap", "cup"):
+            if not arg.isdigit():
+                raise TangleSyntaxError(f"expected a {kind} position", line, col)
+            arg = int(arg)
+        if kind == "cup" and cur.peek() in _SHADING:
+            shading = _SHADING[cur.next()[0]]
+        layers.append(Layer(kind, arg, shading))
+        where.append((line, col))
         cur.next(";")
-    cur.next("}")
+    where.append(cur.next("}")[1:])
 
-    missing = set(by_name) - loaded
-    if missing:
-        raise TangleSyntaxError(f"inputs never loaded: {sorted(missing)}", *cur.here())
-    if count != 2 * int(out_lvl_tok):
-        raise TangleSyntaxError(
-            f"final boundary has {count} points, declared output needs "
-            f"{2 * int(out_lvl_tok)}", *cur.here())
-    return TangleProgram(name, tuple(slots), int(out_lvl_tok),
+    prog = TangleProgram(name, tuple(slots), int(out_lvl_tok),
                          _SHADING[out_sh_tok], tuple(layers))
+    misfit = _misfit(prog)
+    if misfit is not None:
+        n, message = misfit
+        raise TangleSyntaxError(message, *where[n - 1])
+    return prog
 
 
 def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
                 inputs: dict[str, Element]) -> Element:
     """Evaluate a program on elements; multilinear in the inputs.
 
+    The inputs must match the declared slots, and the program must pass
+    `_misfit`, the rule `parse_tangle` applies; either fault is a
+    ValueError raised before any layer runs, with the parser's message.
     The state is an element, None while the boundary is empty; each layer
     is one array move on its rows followed by `_merge`.  Its loops stay
     closed, so a row's right region is its base vertex, and only `rotate`
-    moves a base.  A layer that `parse_tangle` would reject (unknown kind,
-    undeclared input, no fit to the boundary) is a ValueError naming it."""
+    moves a base."""
     for slot in prog.inputs:
         x = inputs.get(slot.name)
         if x is None:
@@ -243,25 +253,15 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
             raise ValueError(f"input {slot.name!r} has level/shading "
                              f"{x.level}{_SHADING_NAME[x.shading]}, declared "
                              f"{slot.level}{_SHADING_NAME[slot.shading]}")
+    misfit = _misfit(prog)
+    if misfit is not None:
+        raise ValueError(misfit[1])
 
-    declared = {slot.name for slot in prog.inputs}
     state: Element | None = None
-    for n, layer in enumerate(prog.layers, start=1):
-        points = 0 if state is None else 2 * state.level
+    for layer in prog.layers:
         p = layer.arg
-        what = layer.kind if p is None else f"{layer.kind} {p}"
-        if layer.kind not in ("load", "tensor", "cap", "cup", "rotate"):
-            raise ValueError(f"layer {n} ({what}) is of no known kind")
-        if layer.kind in ("load", "tensor") and p not in declared:
-            raise ValueError(f"layer {n} ({what}) reads an undeclared input")
-        if (layer.kind == "cup" and not 1 <= p <= points + 1
-                or layer.kind == "cap" and not 1 <= p <= points - 1
-                or layer.kind == "rotate" and points < 2
-                or layer.kind == "load" and points):
-            raise ValueError(f"layer {n} ({what}) does not fit a boundary "
-                             f"of {points} points")
         if layer.kind in ("load", "tensor"):
-            x = inputs[layer.arg]
+            x = inputs[p]
             if state is None:
                 state = x
                 continue
@@ -288,10 +288,6 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
             coeff = state.coeff * (alg._mu[state.base] / alg._mu[base])
         state = _merge(words.shape[1] // 2, state.shading, base, words, coeff)
 
-    if state is None:
-        raise ValueError("program produced no boundary")
-    if state.level != prog.out_level:
-        raise ValueError("evaluation level mismatch")
     if state.shading != prog.out_shading:
         return alg.zero(prog.out_level, prog.out_shading)
     return state

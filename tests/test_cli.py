@@ -59,6 +59,23 @@ def test_tangle_subcommand(tmp_path, capsys):
         2 ** 0.5, rel=1e-9)      # circle removal multiplies by delta
 
 
+@pytest.mark.parametrize("body, where", [
+    ("  load x;\n  tensor x;\n", "(line 3, column 10)"),   # read twice
+    ("  load x;\n", "(line 3, column 1)"),                  # y never read
+    ("  load x;\n  cap 2;\n", "(line 3, column 7)"),       # out of range
+    ("", "(line 2, column 1)"),                            # no layers
+], ids=["read-twice", "never-read", "cap-out-of-range", "empty-body"])
+def test_invalid_tangle_program_is_usage_error(tmp_path, capsys, body, where):
+    prog = tmp_path / "bad.tgl"
+    prog.write_text("tangle bad(x: 1+, y: 1+) -> 1+ {\n" + body + "}\n")
+    code = main(["tangle", "--graph", "a3", "--program", str(prog)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(f" {where}\n")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_trace_of_element_file(tmp_path, capsys):
     doc = {"level": 1, "shading": "+",
            "terms": [{"loop": "e1 e1'", "coeff": 2.0}]}

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphloops import (EVEN, ODD, Loop, LoopAlgebra, builtin_graph,
                         perron_frobenius)
+from graphloops import tangles
 from graphloops.elements import _merge
 from graphloops.ncpairings import noncrossing_pairings
 from graphloops.tangles import (Layer, Slot, TangleProgram, TangleSyntaxError,
@@ -287,6 +289,145 @@ def test_hand_built_layers_are_checked_for_kind_and_slot(a3):
         prog = TangleProgram("bad", slots, 2, EVEN, layers)
         with pytest.raises(ValueError, match=message):
             eval_tangle(a3, prog, inputs)
+
+
+
+# -- one validity rule for parsed and hand-built programs -------------------
+
+
+def _unplaced(exc: TangleSyntaxError) -> str:
+    """The parser's message without its " (line L, column C)" suffix."""
+    return re.sub(r" \(line \d+, column \d+\)$", "", str(exc))
+
+
+def test_eval_rejects_with_the_parsers_message_before_any_layer(a3, monkeypatch):
+    # run layer by layer, the first would be quadratic in `a`, the second
+    # would ignore `b`, and the third would fail only after its last layer
+    merges = []
+
+    def counting_merge(*args):
+        merges.append(1)
+        return _merge(*args)
+
+    rng = np.random.default_rng(33)
+    a, b = (random_element(a3, 1, EVEN, rng) for _ in range(2))
+    monkeypatch.setattr(tangles, "_merge", counting_merge)
+    slot_a, slot_b = Slot("a", 1, EVEN), Slot("b", 1, EVEN)
+    cases = [
+        (TangleProgram("twice", (slot_a,), 2, EVEN,
+                       (Layer("load", "a"), Layer("tensor", "a"))),
+         "layer 2 (tensor a) reads input 'a' a second time"),
+        (TangleProgram("unread", (slot_a, slot_b), 1, EVEN,
+                       (Layer("load", "a"),)),
+         "inputs never read: ['b']"),
+        (TangleProgram("level", (slot_a,), 1, EVEN,
+                       (Layer("load", "a"), Layer("cup", 1))),
+         "final boundary has 4 points, declared output needs 2"),
+    ]
+    for prog, message in cases:
+        with pytest.raises(TangleSyntaxError) as parsed:
+            parse_tangle(prog.source())
+        with pytest.raises(ValueError) as evaluated:
+            eval_tangle(a3, prog, {"a": a, "b": b})
+        assert str(evaluated.value) == _unplaced(parsed.value) == message
+    assert merges == []
+
+
+def test_source_prints_a_layer_of_no_known_kind_as_itself():
+    # printed as some known kind, it could parse as a valid program
+    prog = TangleProgram("bad", (Slot("a", 1, EVEN),), 1, EVEN,
+                         (Layer("load", "a"), Layer("flip")))
+    assert prog.source().splitlines()[2] == "  flip;"
+    with pytest.raises(TangleSyntaxError,
+                       match=r"layer 2 \(flip\) is of no known kind"):
+        parse_tangle(prog.source())
+
+
+# one random layer: unknown kinds, positions outside the boundary, and
+# names undeclared ('z') or, drawn twice, read twice
+LAYERS = st.one_of(
+    st.builds(Layer, st.sampled_from(["load", "tensor"]),
+              st.sampled_from(["x0", "x1", "z"])),
+    st.builds(Layer, st.just("cap"), st.integers(0, 6)),
+    st.builds(Layer, st.just("cup"), st.integers(0, 6),
+              st.sampled_from([None, EVEN, ODD])),
+    st.sampled_from([Layer("rotate"), Layer("flip")]))
+
+VALID_PROGRAMS = st.integers(0, 2 ** 31).map(
+    lambda seed: random_program(np.random.default_rng(seed), EVEN, n_layers=4))
+
+
+@st.composite
+def layer_lists(draw):
+    """Random layers on zero to two inputs, most of them breaking a rule."""
+    names = draw(st.sampled_from([(), ("x0",), ("x0", "x1")]))
+    slots = tuple(Slot(n, draw(st.integers(0, 2)), EVEN) for n in names)
+    return TangleProgram("p", slots, draw(st.integers(0, 4)), EVEN,
+                         tuple(draw(st.lists(LAYERS, max_size=5))))
+
+
+@st.composite
+def edited_programs(draw):
+    """A valid program with one layer repeated, deleted or replaced by a
+    random one, or with its output level raised."""
+    prog = draw(VALID_PROGRAMS)
+    layers = list(prog.layers)
+    i = draw(st.integers(0, len(layers) - 1))
+    edit = draw(st.sampled_from(["repeat", "delete", "replace", "level"]))
+    if edit == "repeat":
+        layers.insert(i, layers[i])
+    elif edit == "delete":
+        del layers[i]
+    elif edit == "replace":
+        layers[i] = draw(LAYERS)
+    return TangleProgram(prog.name, prog.inputs,
+                         prog.out_level + (edit == "level"), prog.out_shading,
+                         tuple(layers))
+
+
+@given(st.one_of(layer_lists(), edited_programs(), VALID_PROGRAMS))
+@settings(max_examples=200, deadline=None)
+def test_parser_and_evaluator_apply_one_rule(a3, prog):
+    rng = np.random.default_rng(34)
+    inputs = {s.name: random_element(a3, s.level, s.shading, rng)
+              for s in prog.inputs}
+    try:
+        parsed = parse_tangle(prog.source())
+        rejected_by_parser = None
+    except TangleSyntaxError as exc:
+        rejected_by_parser = _unplaced(exc)
+    try:
+        eval_tangle(a3, prog, inputs)
+        rejected_by_eval = None
+    except ValueError as exc:
+        rejected_by_eval = str(exc)
+    assert rejected_by_parser == rejected_by_eval
+    if rejected_by_parser is None:
+        assert parsed == prog
+
+
+MULTI_LINE = """tangle m(a: 1+, b: 1+) -> {out} {{
+  load a;
+  {layer}
+  tensor b;
+}}
+"""
+
+
+@pytest.mark.parametrize("out, layer, message, line, col", [
+    ("2+", "cap 7;", r"layer 2 \(cap 7\) does not fit", 3, 7),
+    ("2+", "tensor a;", r"layer 2 \(tensor a\) reads input 'a' a second", 3, 10),
+    ("2+", "load z;", r"unknown input 'z'", 3, 8),
+    ("2+", "rotate; rotate; flip;", r"layer 4 \(flip\) is of no known kind",
+     3, 19),
+    ("3+", "rotate;", "declared output needs 6", 5, 1),
+])
+def test_parse_error_points_at_the_layer(out, layer, message, line, col):
+    # a bad layer reports its argument (its keyword when it has none); a
+    # fault found at the end reports the closing brace
+    with pytest.raises(TangleSyntaxError, match=message) as err:
+        parse_tangle(MULTI_LINE.format(out=out, layer=layer))
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 # -- the dict evaluator as the reference -------------------------------------
