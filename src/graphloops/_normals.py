@@ -16,4 +16,4 @@ def normals(rng: np.random.Generator, rows: int, cols: int,
             var: float) -> np.ndarray:
     """A rows x cols complex128 array of iid CN(0, var) values from `rng`."""
     z = rng.standard_normal((rows, 2 * cols)).view(np.complex128)
-    return z * math.sqrt(var / 2.0)
+    return np.multiply(z, math.sqrt(var / 2.0), out=z)

@@ -20,6 +20,7 @@ reproducible from (seed, i) regardless of thread count.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,78 +62,97 @@ def _ct(a, b):
     return (b.conj().T @ a).conj().T
 
 
-def _new_directions(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the part of span(v) outside span(basis).
+def _new_directions(basis: np.ndarray, v: np.ndarray):
+    """(c, new, R) with v = basis c + new R, new orthonormal off span(basis).
 
-    Nothing is new once the basis spans the space.  Otherwise two
-    Gram-Schmidt passes, then the Q factor of a reduced QR when every |R_jj|
-    exceeds 1e-10 of |v|.  Failing that, some direction of v is rounding (as
-    when the queried directions fill a small block), and an SVD keeps only
-    the singular directions above that threshold.
+    Two Gram-Schmidt passes leave a residual r = new R, factored by Cholesky
+    QR done twice when every pivot of the first factor exceeds 1e-6 |v|, far
+    above the rounding of its Gram matrix.  Failing that, some direction of
+    v may be rounding (as when the queried directions fill a small block),
+    and an SVD keeps only the singular directions above 1e-10 |v|.
     """
-    if basis.shape[1] == basis.shape[0]:
-        return basis[:, :0]
-    r = v - basis @ _ct(basis, v)
+    c = _ct(basis, v)
+    r = v - basis @ c
     r -= basis @ _ct(basis, r)
     tol = 1e-10 * np.linalg.norm(v)
-    q, rr = np.linalg.qr(r)
-    if np.all(np.abs(np.diagonal(rr)) > tol):
-        return q
-    u, s, _ = np.linalg.svd(r, full_matrices=False)
-    return u[:, s > tol]
+    with suppress(np.linalg.LinAlgError):
+        f1 = np.linalg.cholesky(r.conj().T @ r)
+        if np.diagonal(f1).real.min() > 1e4 * tol:
+            q = r @ np.linalg.inv(f1).conj().T
+            f2 = np.linalg.cholesky(q.conj().T @ q)
+            return c, q @ np.linalg.inv(f2).conj().T, (f1 @ f2).conj().T
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    keep = s > tol
+    return c, u[:, keep], s[keep, None] * vh[keep]
+
+
+def _grow(buf: np.ndarray, n: int) -> np.ndarray:
+    """`buf` when it has n rows, else a copy with room for 2 n."""
+    return buf if len(buf) >= n else np.resize(buf, (2 * n, buf.shape[1]))
 
 
 class _LazyBlock:
     """One rows x cols block of iid CN(0, var), known only where queried.
 
     P (rows x p) and Q (cols x q) are orthonormal bases of the left- and
-    right-queried directions, with A = P* X and B = (I - P P*) X Q, so
+    right-queried directions, A = P* X, and G holds the Gaussian column
+    drawn for each direction of Q, so that (I - P P*) X Q = (I - P P*) G and
 
-        X = P A + B Q* + (I - P P*) X (I - Q Q*),
+        X = P A + (I - P P*) G Q* + (I - P P*) X (I - Q Q*).
 
-    and the last term is fresh iid Gaussian on the complementary subspaces
-    whatever was queried before.  A new direction therefore needs only one
-    fresh Gaussian row or column, projected off the known subspace.
+    The last term is fresh iid Gaussian on the complementary subspaces
+    whatever was queried before, so a new direction needs only one fresh
+    Gaussian row or column.  G is projected off P only when it is read.
+    P^T, A, Q^T and G^T lead buffers of `p_cap` or `q_cap` rows (`probes`
+    per letter of a loop), regrown when a query overruns them.
     """
 
+    P = property(lambda self: self._Pt[:self.p].T)
+    A = property(lambda self: self._A[:self.p])
+    Q = property(lambda self: self._Qt[:self.q].T)
+    G = property(lambda self: self._Gt[:self.q].T)
+
     def __init__(self, rows: int, cols: int, var: float,
-                 rng: np.random.Generator):
-        self.var, self.rng = var, rng
-        self.P = np.zeros((rows, 0), dtype=np.complex128)
-        self.A = np.zeros((0, cols), dtype=np.complex128)
-        self.Q = np.zeros((cols, 0), dtype=np.complex128)
-        self.B = np.zeros((rows, 0), dtype=np.complex128)
+                 rng: np.random.Generator, p_cap: int = 0, q_cap: int = 0):
+        self.var, self.rng, self.p, self.q = var, rng, 0, 0
+        self._Pt, self._A = (np.empty((min(p_cap, rows), n), np.complex128)
+                             for n in (rows, cols))
+        self._Qt, self._Gt = (np.empty((min(q_cap, cols), n), np.complex128)
+                              for n in (cols, rows))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """X v."""
-        new = _new_directions(self.Q, v)
-        if new.shape[1]:
-            # G Q_new
-            g = normals(self.rng, self.B.shape[0], new.shape[1], self.var)
-            g -= self.P @ _ct(self.P, g)
-            self.B = np.hstack([self.B, g])
-            self.Q = np.hstack([self.Q, new])
-        return self.P @ (self.A @ v) + self.B @ _ct(self.Q, v)
+        """X v = P (A v - P* y) + y, y = G c + g R for v = Q c + Q_new R."""
+        c, new, r = _new_directions(self.Q, v)
+        y = self.G @ c
+        q, k = self.q, new.shape[1]
+        if k:
+            g = normals(self.rng, self._Gt.shape[1], k, self.var)
+            self._Qt, self._Gt = _grow(self._Qt, q + k), _grow(self._Gt, q + k)
+            self._Qt[q:q + k], self._Gt[q:q + k], self.q = new.T, g.T, q + k
+            y += g @ r
+        return self.P @ (self.A @ v - _ct(self.P, y)) + y
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        """X* u."""
-        new = _new_directions(self.P, u)
-        if new.shape[1]:
-            # P_new* G
-            h = normals(self.rng, new.shape[1], self.A.shape[1], self.var)
-            q_star = self.Q.conj().T
-            h -= (h @ self.Q) @ q_star
-            nb = new.conj().T @ self.B
-            self.A = np.vstack([self.A, nb @ q_star + h])
-            self.B = self.B - new @ nb
-            self.P = np.hstack([self.P, new])
-        return _ct(self.A, _ct(self.P, u))
+        """X* u = A* d + a* R, for u = P d + P_new R; a joins A."""
+        d, new, r = _new_directions(self.P, u)
+        out = _ct(self.A, d)
+        p, k = self.p, new.shape[1]
+        if k:
+            # a = P_new* G Q* + P_new* X (I - Q Q*), as P_new* P = 0
+            h = normals(self.rng, k, self._A.shape[1], self.var)
+            nb = new.conj().T @ self.G
+            h += (self.Q @ (nb - h @ self.Q).conj().T).conj().T
+            self._Pt, self._A = _grow(self._Pt, p + k), _grow(self._A, p + k)
+            self._Pt[p:p + k], self._A[p:p + k], self.p = new.T, h, p + k
+            out += _ct(h, r)
+        return out
 
     def frobenius_sq(self) -> float:
-        """||X||_F^2 = ||A||^2 + ||B||^2 + var * Gamma((R - p)(C - q))."""
+        """||X||_F^2 = ||A||^2 + ||(I - PP*) G||^2 + var Gamma((R - p)(C - q))."""
         rows, p = self.P.shape
         cols, q = self.Q.shape
-        known = float(np.vdot(self.A, self.A).real + np.vdot(self.B, self.B).real)
+        b = self.G - self.P @ _ct(self.P, self.G)
+        known = float(np.vdot(self.A, self.A).real + np.vdot(b, b).real)
         return known + self.var * float(self.rng.gamma((rows - p) * (cols - q)))
 
 
@@ -166,13 +186,16 @@ class SampledModel:
              len(lp.edges), *lp.edges])
         self.blocks = {e: _LazyBlock(spec.block_dim(g.src(e)),
                                      spec.block_dim(g.tgt(e)),
-                                     spec.entry_variance(e), self.rng)
+                                     spec.entry_variance(e), self.rng,
+                                     probes * lp.edges.count(e ^ 1),
+                                     probes * lp.edges.count(e))
                        for e in g.positive_edges()}
         norm = 1.0 / (spec.N * spec.M)
         if len(lp.edges) == 0:
             return spec.tr_d(lp.base)
         if len(lp.edges) == 2 and lp.edges[1] == (lp.edges[0] ^ 1):
-            return norm * self.frobenius_sq(lp.edges[0])
+            block = self.blocks.get(lp.edges[0]) or self.blocks[lp.edges[0] ^ 1]
+            return norm * block.frobenius_sq()
         z = self.probe_matrix(spec.block_dim(lp.base), probes)
         w = z
         for e in reversed(lp.edges):
@@ -185,10 +208,6 @@ class SampledModel:
         if e in self.blocks:
             return self.blocks[e].matvec(w)
         return self.blocks[e ^ 1].rmatvec(w)
-
-    def frobenius_sq(self, e: int) -> float:
-        """||X_e||_F^2 of the current loop's draw."""
-        return self.blocks.get(e, self.blocks.get(e ^ 1)).frobenius_sq()
 
     def probe_matrix(self, dim: int, probes: int) -> np.ndarray:
         """Complex Rademacher probes from the current loop's stream."""

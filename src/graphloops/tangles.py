@@ -22,10 +22,11 @@ cap then cup at one position multiplies by the loop parameter delta (the
 eigenvector identity), and the two zigzags are exact identities; both are
 enforced by tests, not assumed.
 
-A program is valid when it reads each declared input exactly once and every
-layer fits the boundary it meets, ending on the declared output level.  One
-function, `_misfit`, decides this; `parse_tangle` and `eval_tangle` both call
-it, so a program built in code is held to the rule a parsed one is.
+A program is valid when its inputs have distinct names, it reads each one
+exactly once and every layer fits the boundary it meets, ending on the
+declared output level.  One function, `_misfit`, decides this; `parse_tangle`
+and `eval_tangle` both call it, so a program built in code is held to the
+rule a parsed one is.
 """
 
 from __future__ import annotations
@@ -126,40 +127,48 @@ class _Cursor:
 
 
 def _misfit(prog: TangleProgram) -> tuple[int, str] | None:
-    """The first validity rule `prog` breaks, as (layer number, message).
+    """The first validity rule `prog` breaks, as (place, message); the
+    inputs, then the layers, then the end are places 0, 1, 2, ...
 
-    One walk over the boundary sizes.  Each layer must be of a known kind,
-    `load` and `tensor` must read a declared input that no earlier layer
-    read, `load` needs the empty boundary, and a cap, cup or rotate must fit
-    the boundary before it.  At the end, a program with no layers, an input
-    never read or a last boundary other than the declared output is charged
-    to layer len(layers) + 1.  None when every rule holds.
+    No two inputs may share a name.  Then one walk over the boundary sizes:
+    each layer must be of a known kind, `load` and `tensor` must read a
+    declared input that no earlier layer read, a cap or cup needs an integer
+    position, `load` needs the empty boundary, and a cap, cup or rotate must
+    fit the boundary before it.  At the end, a program with no layers, an
+    input never read or a last boundary other than the declared output is
+    charged to the end.  None when every rule holds.
     """
+    for i, s in enumerate(prog.inputs):
+        if s.name in [t.name for t in prog.inputs[:i]]:
+            return i, f"input {s.name!r} is declared a second time"
     levels = {s.name: s.level for s in prog.inputs}
     unread = dict.fromkeys(levels)
     points = 0
-    for n, layer in enumerate(prog.layers, start=1):
-        kind, p = layer.kind, layer.arg
+    for place, layer in enumerate(prog.layers, start=len(levels)):
+        n, kind, p = place - len(levels) + 1, layer.kind, layer.arg
         what = kind if p is None else f"{kind} {p}"
         if kind not in ("load", "tensor", "cap", "cup", "rotate"):
-            return n, f"layer {n} ({what}) is of no known kind"
+            return place, f"layer {n} ({what}) is of no known kind"
         if kind in ("load", "tensor") and p not in levels:
-            return n, (f"layer {n} ({what}) reads an undeclared input "
-                       f"(unknown input {p!r})")
+            return place, (f"layer {n} ({what}) reads an undeclared input "
+                           f"(unknown input {p!r})")
         if kind in ("load", "tensor") and p not in unread:
-            return n, f"layer {n} ({what}) reads input {p!r} a second time"
+            return place, f"layer {n} ({what}) reads input {p!r} a second time"
+        if kind in ("cap", "cup") and (not isinstance(p, (int, np.integer))
+                                       or isinstance(p, bool)):
+            return place, f"layer {n} ({kind}): expected a {kind} position"
         if (kind == "cup" and not 1 <= p <= points + 1
                 or kind == "cap" and not 1 <= p <= points - 1
                 or kind == "rotate" and points < 2
                 or kind == "load" and points):
-            return n, (f"layer {n} ({what}) does not fit a boundary of "
-                       f"{points} points (out of range)")
+            return place, (f"layer {n} ({what}) does not fit a boundary of "
+                           f"{points} points (out of range)")
         if kind in ("load", "tensor"):
             del unread[p]
             points += 2 * levels[p]
         elif kind != "rotate":
             points += 2 if kind == "cup" else -2
-    end = len(prog.layers) + 1
+    end = len(levels) + len(prog.layers)
     if not prog.layers:
         return end, "the program has no layers and leaves no boundary"
     if unread:
@@ -173,20 +182,23 @@ def _misfit(prog: TangleProgram) -> tuple[int, str] | None:
 def parse_tangle(text: str) -> TangleProgram:
     """Parse a layered tangle program and check it against `_misfit`.
 
-    The parser reads only syntax: tokens, integer cap and cup positions and
-    shading marks.  A program that breaks a validity rule raises
-    `TangleSyntaxError` with the rule's message, placed at the offending
-    layer's argument (the keyword of an argument-free layer) or, for a
-    fault found at the end, at the closing brace.
+    The parser reads only syntax; a layer's argument is any token before
+    its `;`, read as an integer if it is an all-digit cap or cup position.
+    A program that breaks a validity rule raises `TangleSyntaxError` with
+    the rule's message, placed at the offending input's name or layer's
+    argument (the keyword of an argument-free layer) or, for a fault found
+    at the end, at the closing brace.
     """
     cur = _Cursor(text)
     cur.next("tangle")
     name, _, _ = cur.next()
     slots = []
+    where: list[tuple[int, int]] = []       # token position of each place
     if cur.peek() == "(":
         cur.next("(")
         while cur.peek() != ")":
-            slot_name, _, _ = cur.next()
+            slot_name, line, col = cur.next()
+            where.append((line, col))
             cur.next(":")
             lvl_tok, line, col = cur.next()
             if not lvl_tok.isdigit():
@@ -208,15 +220,12 @@ def parse_tangle(text: str) -> TangleProgram:
     cur.next("{")
 
     layers: list[Layer] = []
-    where: list[tuple[int, int]] = []       # token position of each layer
     while cur.peek() != "}":
         kind, line, col = cur.next()
         arg = shading = None
-        if kind in ("load", "tensor", "cap", "cup"):
+        if kind in ("load", "tensor", "cap", "cup") and cur.peek() != ";":
             arg, line, col = cur.next()
-        if kind in ("cap", "cup"):
-            if not arg.isdigit():
-                raise TangleSyntaxError(f"expected a {kind} position", line, col)
+        if kind in ("cap", "cup") and arg is not None and arg.isdigit():
             arg = int(arg)
         if kind == "cup" and cur.peek() in _SHADING:
             shading = _SHADING[cur.next()[0]]
@@ -229,8 +238,8 @@ def parse_tangle(text: str) -> TangleProgram:
                          _SHADING[out_sh_tok], tuple(layers))
     misfit = _misfit(prog)
     if misfit is not None:
-        n, message = misfit
-        raise TangleSyntaxError(message, *where[n - 1])
+        place, message = misfit
+        raise TangleSyntaxError(message, *where[place])
     return prog
 
 
@@ -238,13 +247,16 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
                 inputs: dict[str, Element]) -> Element:
     """Evaluate a program on elements; multilinear in the inputs.
 
-    The inputs must match the declared slots, and the program must pass
-    `_misfit`, the rule `parse_tangle` applies; either fault is a
-    ValueError raised before any layer runs, with the parser's message.
+    The program must pass `_misfit`, the rule `parse_tangle` applies, and
+    the inputs must match the declared slots; either fault is a ValueError
+    raised before any layer runs, the first with the parser's message.
     The state is an element, None while the boundary is empty; each layer
     is one array move on its rows followed by `_merge`.  Its loops stay
     closed, so a row's right region is its base vertex, and only `rotate`
     moves a base."""
+    misfit = _misfit(prog)
+    if misfit is not None:
+        raise ValueError(misfit[1])
     for slot in prog.inputs:
         x = inputs.get(slot.name)
         if x is None:
@@ -253,9 +265,6 @@ def eval_tangle(alg: LoopAlgebra, prog: TangleProgram,
             raise ValueError(f"input {slot.name!r} has level/shading "
                              f"{x.level}{_SHADING_NAME[x.shading]}, declared "
                              f"{slot.level}{_SHADING_NAME[slot.shading]}")
-    misfit = _misfit(prog)
-    if misfit is not None:
-        raise ValueError(misfit[1])
 
     state: Element | None = None
     for layer in prog.layers:

@@ -76,6 +76,16 @@ def test_invalid_tangle_program_is_usage_error(tmp_path, capsys, body, where):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_repeated_tangle_input_name_is_usage_error(tmp_path, capsys):
+    prog = tmp_path / "twice.tgl"
+    prog.write_text("tangle t(a: 1+, a: 2+) -> 2+ { load a; }\n")
+    code = main(["tangle", "--graph", "a3", "--program", str(prog)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: input 'a' is declared a second time "
+                            "(line 1, column 17)\n")
+
+
 def test_trace_of_element_file(tmp_path, capsys):
     doc = {"level": 1, "shading": "+",
            "terms": [{"loop": "e1 e1'", "coeff": 2.0}]}

@@ -1,14 +1,21 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from graphloops import BipartiteGraph, LoopAlgebra, perron_frobenius
+from graphloops import BipartiteGraph, LoopAlgebra, perron_frobenius, randmat
 from graphloops.elements import Loop, loop_from_tokens
 from graphloops.randmat import (BlockModelSpec, SampledModel, _LazyBlock,
                                 convergence_sweep, estimate_trace,
                                 estimate_traces, loop_target,
                                 trend_non_increasing)
+
+# the four long words of the benchmark's mc-long workload
+LONG_WORDS = ("e1 e1' e2 e2' e1 e1'",
+              "e1 e1' e2 e2' e2 e2' e1 e1'",
+              "e1 e1' e1 e1' e2 e2' e1 e1' e2 e2'",
+              "e1 e1' e2 e2' e1 e1' e2 e2' e1 e1' e2 e2'")
 
 
 def test_loop_trace_is_pinned(a3):
@@ -18,8 +25,8 @@ def test_loop_trace_is_pinned(a3):
     # 12 x 9 block of e1 and so also takes the SVD fallback
     spec = BlockModelSpec(a3, 3, 3, seed=7)
     want = {"e1 e1'": 1.1032241695883314,
-            "e1 e1' e2 e2'": 1.123727702593881,
-            "e1 e1' e1 e1' e1 e1'": 5.005016369423963}
+            "e1 e1' e2 e2'": 1.3238605017872562,
+            "e1 e1' e1 e1' e1 e1'": 5.482505291684278}
     for word, value in want.items():
         got = SampledModel(spec, 2).loop_trace(loop_from_tokens(a3.g, word), 4)
         assert got == pytest.approx(value, rel=1e-9), word
@@ -288,3 +295,54 @@ def test_matrix_free_block_answers_as_one_matrix(a3):
     for u, xu in left:
         for v, xv in right:
             assert np.allclose(u.conj().T @ xv, xu.conj().T @ v, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, probes", [(10, 8), (2, 3), (3, 4)],
+                         ids=["large", "filled-2", "filled-3"])
+def test_direction_bases_stay_orthonormal(a3, n, probes):
+    # new directions come from Cholesky QR done twice; one pass alone leaves
+    # ||Q*Q - I|| above 1e-12 where the queries fill the block (N = M = 2, 3)
+    spec = BlockModelSpec(a3, n, n, seed=1)
+    for i in range(3):
+        for word in LONG_WORDS:
+            model = SampledModel(spec, i)
+            model.loop_trace(loop_from_tokens(a3.g, word), probes)
+            for e, block in model.blocks.items():
+                for basis in (block.P, block.Q):
+                    gram = basis.conj().T @ basis
+                    err = np.linalg.norm(gram - np.eye(len(gram)), 2)
+                    assert err <= 1e-12, (word, i, e, err)
+
+
+def test_query_steps_stack_nothing_and_factor_without_householder(
+        a3, monkeypatch):
+    # bases are reserved from the word and filled in place; the SVD runs
+    # exactly on the steps whose query has a dependent direction
+    calls = Counter()
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((np, "hstack"), (np, "vstack"), (np.linalg, "qr"),
+                         (np.linalg, "svd")):
+        counted(module, name)
+    deficient = Counter()
+    new_directions = randmat._new_directions
+
+    def watched(basis, v):
+        c, new, r = new_directions(basis, v)
+        deficient["steps"] += new.shape[1] < v.shape[1]
+        return c, new, r
+    monkeypatch.setattr(randmat, "_new_directions", watched)
+
+    lp = loop_from_tokens(a3.g, LONG_WORDS[-1])
+    SampledModel(BlockModelSpec(a3, 10, 10, seed=1), 0).loop_trace(lp, 8)
+    assert calls == Counter() and deficient["steps"] == 0
+    SampledModel(BlockModelSpec(a3, 2, 2, seed=1), 0).loop_trace(lp, 3)
+    assert deficient["steps"] > 0
+    assert calls == Counter(svd=deficient["steps"])

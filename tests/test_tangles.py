@@ -343,13 +343,15 @@ def test_source_prints_a_layer_of_no_known_kind_as_itself():
         parse_tangle(prog.source())
 
 
-# one random layer: unknown kinds, positions outside the boundary, and
-# names undeclared ('z') or, drawn twice, read twice
+# one random layer: unknown kinds, positions outside the boundary or not
+# integers at all, and names undeclared ('z') or, drawn twice, read twice
+POSITIONS = st.one_of(st.integers(0, 6), st.none(), st.booleans(),
+                      st.sampled_from(["x", "two"]))
 LAYERS = st.one_of(
     st.builds(Layer, st.sampled_from(["load", "tensor"]),
               st.sampled_from(["x0", "x1", "z"])),
-    st.builds(Layer, st.just("cap"), st.integers(0, 6)),
-    st.builds(Layer, st.just("cup"), st.integers(0, 6),
+    st.builds(Layer, st.just("cap"), POSITIONS),
+    st.builds(Layer, st.just("cup"), POSITIONS,
               st.sampled_from([None, EVEN, ODD])),
     st.sampled_from([Layer("rotate"), Layer("flip")]))
 
@@ -359,8 +361,9 @@ VALID_PROGRAMS = st.integers(0, 2 ** 31).map(
 
 @st.composite
 def layer_lists(draw):
-    """Random layers on zero to two inputs, most of them breaking a rule."""
-    names = draw(st.sampled_from([(), ("x0",), ("x0", "x1")]))
+    """Random layers on zero to two inputs, most of them breaking a rule;
+    the two inputs may share a name."""
+    names = draw(st.sampled_from([(), ("x0",), ("x0", "x1"), ("x0", "x0")]))
     slots = tuple(Slot(n, draw(st.integers(0, 2)), EVEN) for n in names)
     return TangleProgram("p", slots, draw(st.integers(0, 4)), EVEN,
                          tuple(draw(st.lists(LAYERS, max_size=5))))
@@ -404,6 +407,32 @@ def test_parser_and_evaluator_apply_one_rule(a3, prog):
     assert rejected_by_parser == rejected_by_eval
     if rejected_by_parser is None:
         assert parsed == prog
+
+
+def test_a_repeated_input_name_is_rejected_at_its_second_declaration(a3):
+    with pytest.raises(TangleSyntaxError) as parsed:
+        parse_tangle("tangle t(a: 1+, a: 2+) -> 2+ { load a; }")
+    assert (parsed.value.line, parsed.value.col) == (1, 17)
+    message = "input 'a' is declared a second time"
+    assert _unplaced(parsed.value) == message
+    prog = TangleProgram("t", (Slot("a", 1, EVEN), Slot("a", 2, EVEN)), 2,
+                         EVEN, (Layer("load", "a"),))
+    x = random_element(a3, 2, EVEN, np.random.default_rng(35))
+    with pytest.raises(ValueError) as evaluated:
+        eval_tangle(a3, prog, {"a": x})
+    assert str(evaluated.value) == message
+
+
+@pytest.mark.parametrize("kind, arg", [
+    ("cap", None), ("cap", "1"), ("cap", True), ("cup", None), ("cup", 1.0)])
+def test_a_hand_built_position_must_be_an_integer(a3, kind, arg):
+    # checked before the range, which would compare it with integers
+    prog = TangleProgram("p", (Slot("a", 1, EVEN),), 1, EVEN,
+                         (Layer("load", "a"), Layer(kind, arg)))
+    x = random_element(a3, 1, EVEN, np.random.default_rng(36))
+    with pytest.raises(ValueError,
+                       match=rf"^layer 2 \({kind}\): expected a {kind} position$"):
+        eval_tangle(a3, prog, {"a": x})
 
 
 MULTI_LINE = """tangle m(a: 1+, b: 1+) -> {out} {{
