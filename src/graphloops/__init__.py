@@ -11,7 +11,7 @@ from .traces import (gram_psd_check, inner_product, phi_vertex, trace_k,
                      usual_trace, free_structure_report)
 from .tangles import TangleProgram, eval_tangle, parse_tangle, equivalence_check
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
-from .randmat import BlockModelSpec, SampledModel, estimate_trace, convergence_sweep
+from .randmat import BlockModelSpec, SampledModel, estimate_traces, convergence_sweep
 
 __all__ = [
     "BipartiteGraph", "GraphError", "PFData", "builtin_graph", "load_graph",
@@ -22,7 +22,7 @@ __all__ = [
     "usual_trace", "free_structure_report",
     "TangleProgram", "eval_tangle", "parse_tangle", "equivalence_check",
     "FockSpace", "commutator_diagnostics", "oracle_check_trace",
-    "BlockModelSpec", "SampledModel", "estimate_trace", "convergence_sweep",
+    "BlockModelSpec", "SampledModel", "estimate_traces", "convergence_sweep",
 ]
 
 __version__ = "0.1.0"

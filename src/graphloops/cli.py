@@ -29,14 +29,15 @@ import time
 import numpy as np
 
 from .graphs import EVEN, ODD, load_pf
-from .elements import LoopAlgebra, loop_from_tokens, loop_label
+from .elements import LoopAlgebra, loop_from_tokens, loop_label, loop_order
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .ncpairings import free_poisson_moments
 from .randmat import convergence_sweep, trend_non_increasing
 from .reports import RunReport, emit_report, graph_digest
 from .selftest import run_selftest
 from .tangles import eval_tangle, parse_tangle, random_element
-from .traces import free_structure_report, phi_frame, trace_k
+from .traces import (cup_moments, free_structure_report, markov_residual,
+                     phi_frame, trace_k)
 
 
 def _int_at_least(low: int):
@@ -81,14 +82,8 @@ def cmd_moments(alg, args, report) -> bool:
     closed = free_poisson_moments(delta, args.n, "closed_form")
     nara = free_poisson_moments(delta, args.n, "narayana")
 
-    cup = alg.cup()
     v0 = alg.g.vertices_of_parity(EVEN)[0]
-    power = alg.vertex_element(v0)
-    loop_vals = [1.0]
-    for _ in range(args.n):
-        power = alg.wedge(0, power, cup)
-        loop_vals.append(trace_k(alg, 0, power)[v0])
-
+    loop_vals = cup_moments(alg, v0, args.n)
     fock_vals = []
     if args.fock_n > 0:
         space = FockSpace(alg, args.fock_n)
@@ -132,8 +127,10 @@ def cmd_tangle(alg, args, report) -> bool:
         inputs = {name: alg.from_json_dict(elt) for name, elt in doc.items()}
     result = eval_tangle(alg, prog, inputs)
     report.parameters.update(program=prog.name, out_level=result.level)
-    for lp in sorted(result.terms):
-        report.add(loop_label(alg.g, lp), result.terms[lp])
+    base, words = result.base.tolist(), result.words.tolist()
+    coeff = result.coeff.tolist()
+    for i in loop_order(result).tolist():
+        report.add(loop_label(alg.g, base[i], words[i]), coeff[i])
     return False
 
 
@@ -142,12 +139,8 @@ def cmd_tower(alg, args, report) -> bool:
     report.parameters["k"] = k
     report.seed = args.seed
     rng = np.random.default_rng(args.seed)
-    shading = EVEN if k % 2 == 0 else ODD
-    e_k = alg.jones_projection(k, tower=True)
-    y = random_element(alg, k - 1, -shading, rng)
-    top = trace_k(alg, k, alg.wedge(k, alg.include_step(y), e_k))
-    markov = alg.pf.delta * top - trace_k(alg, k - 1, y)
-    report.add("markov_residual", np.abs(markov).max(), 0.0)
+    y = random_element(alg, k - 1, EVEN if k % 2 else ODD, rng)
+    report.add("markov_residual", markov_residual(alg, k, y), 0.0)
     e_pl = alg.jones_projection(k)
     idem = alg.usual_mult(e_pl, e_pl) - e_pl
     report.add("jones_idempotent_residual", idem.norm_inf(), 0.0)

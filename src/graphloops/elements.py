@@ -7,7 +7,8 @@ element: equal rows are summed in input order, sums with |c| <= PRUNE_TOL
 times the largest input |c| are dropped and rows keep the order of their
 first appearance.  That is the order and arithmetic of a running dict sum,
 so every coefficient equals the one a dict of loops would hold, bit for bit.
-`Element.terms` is a read-only {Loop: coeff} view for I/O.
+`Element.terms` is a read-only {Loop: coeff} view; `loop_order` and
+`loop_label` order and name rows straight from the arrays.
 
 Conventions (fixed once here, validated against the Fock operator model in
 tests):
@@ -197,9 +198,16 @@ def loop_tokens(g: BipartiteGraph, lp: Loop) -> str:
     return " ".join(g.oriented_name(e) for e in lp.edges)
 
 
-def loop_label(g: BipartiteGraph, lp: Loop) -> str:
-    """The loop's tokens, or its base vertex's name for a level-0 loop."""
-    return loop_tokens(g, lp) or g.vertex_names[lp.base]
+def loop_label(g: BipartiteGraph, base: int, edges) -> str:
+    """A row's label: its edges' tokens, or its base vertex's name for a
+    level-0 loop."""
+    return " ".join(map(g.oriented_name, edges)) or g.vertex_names[base]
+
+
+def loop_order(x: Element) -> np.ndarray:
+    """Row indices of x in the order of `sorted(x.terms)`: by base vertex,
+    then edge ids letter by letter."""
+    return np.lexsort((*x.words.T[::-1], x.base))
 
 
 class LoopAlgebra:
@@ -278,11 +286,13 @@ class LoopAlgebra:
                             shading=EVEN if shading == "+" else ODD)
 
     def to_json_dict(self, x: Element) -> dict:
+        base, words, coeff = x.base.tolist(), x.words.tolist(), x.coeff.tolist()
         rows = []
-        for lp in sorted(x.terms):
-            row = {"loop": loop_tokens(self.g, lp), "coeff": x.terms[lp]}
-            if not lp.edges:
-                row["base"] = self.g.vertex_names[lp.base]
+        for i in loop_order(x).tolist():
+            row = {"loop": " ".join(map(self.g.oriented_name, words[i])),
+                   "coeff": coeff[i]}
+            if not words[i]:
+                row["base"] = self.g.vertex_names[base[i]]
             rows.append(row)
         return {"level": x.level,
                 "shading": "+" if x.shading == EVEN else "-",

@@ -262,11 +262,6 @@ def estimate_traces(spec: BlockModelSpec, loops, samples: int,
             for col, lp in zip(table.T, loops)]
 
 
-def estimate_trace(spec: BlockModelSpec, lp: Loop, samples: int,
-                   probes: int = 8, threads: int = 1) -> TraceEstimate:
-    return estimate_traces(spec, [lp], samples, probes, threads)[0]
-
-
 def convergence_sweep(alg: LoopAlgebra, loops, size_grid, samples: int,
                       seed: int = 0, probes: int = 4,
                       threads: int = 1) -> dict[Loop, list[dict]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -9,12 +10,8 @@ from dataclasses import dataclass, field
 
 
 def render_number(x) -> str:
-    """12 significant digits, stable across runs."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".12g")
+    """12 significant digits for a float, stable across runs; str otherwise."""
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 @dataclass
@@ -52,30 +49,25 @@ def graph_digest(g) -> str:
 
 
 def emit_report(report: RunReport, fmt: str = "json") -> bytes:
+    rows = [{"name": r.name, "value": render_number(r.value),
+             "expected": None if r.expected is None else render_number(r.expected),
+             "abs_err": None if r.abs_err is None else render_number(r.abs_err)}
+            for r in report.rows]
     if fmt == "json":
         doc = {
             "command": report.command,
             "graph_digest": report.graph_digest,
             "parameters": {k: report.parameters[k] for k in sorted(report.parameters)},
-            "rows": [
-                {
-                    "name": r.name,
-                    "value": render_number(r.value),
-                    "expected": None if r.expected is None else render_number(r.expected),
-                    "abs_err": None if r.abs_err is None else render_number(r.abs_err),
-                }
-                for r in report.rows
-            ],
+            "rows": rows,
             "seed": report.seed,
             "wall_time_s": render_number(report.wall_time_s),
         }
         return (json.dumps(doc, indent=2) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
-        buf.write("name,value,expected,abs_err\n")
-        for r in report.rows:
-            expected = "" if r.expected is None else render_number(r.expected)
-            abs_err = "" if r.abs_err is None else render_number(r.abs_err)
-            buf.write(f"{r.name},{render_number(r.value)},{expected},{abs_err}\n")
+        writer = csv.DictWriter(buf, ("name", "value", "expected", "abs_err"),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {fmt!r}")

@@ -17,7 +17,8 @@ from .ncpairings import free_poisson_moments, noncrossing_pairings
 from .tangles import (diagram_program, eval_tangle, parse_tangle,
                       random_element, rotation_program, trace0_via_tangles,
                       wedge_program)
-from .traces import _phi_word_pairing, _phi_words, gram_psd_check, trace_k
+from .traces import (_phi_word_pairing, _phi_words, cup_moments,
+                     gram_psd_check, markov_residual, trace_k)
 
 
 def _algebras():
@@ -78,25 +79,17 @@ def run_selftest(seed: int = 11):
             d = (trace_k(alg, k, alg.wedge(k, a, b))
                  - trace_k(alg, k, alg.wedge(k, b, a)))
             yield f"{name}: trace property grade {k}", np.abs(d).max()
-            e_k = alg.jones_projection(k, tower=True)
             y = random_element(alg, k - 1, -shading, rng)
-            lhs = delta * trace_k(alg, k, alg.wedge(k, alg.include_step(y), e_k))
-            rhs = trace_k(alg, k - 1, y)
-            yield f"{name}: Markov property grade {k}", np.abs(lhs - rhs).max()
+            yield f"{name}: Markov property grade {k}", markov_residual(alg, k, y)
+            e_k = alg.jones_projection(k, tower=True)
             ee = alg.wedge(k, e_k, e_k) - e_k
             yield (f"{name}: Jones idempotent grade {k}",
                    max(ee.norm_inf(), (alg.involution(e_k) - e_k).norm_inf()))
 
         # moments against the loop algebra
-        moments = free_poisson_moments(delta, 4)
-        cup = alg.cup()
-        power = alg.vertex_element(alg.g.vertices_of_parity(EVEN)[0])
-        v0 = alg.g.vertices_of_parity(EVEN)[0]
-        worst = 0.0
-        for n in range(1, 5):
-            power = alg.wedge(0, power, cup)
-            worst = max(worst, abs(trace_k(alg, 0, power)[v0] - moments[n]))
-        yield f"{name}: one-cup moments vs free Poisson", worst
+        got = cup_moments(alg, alg.g.vertices_of_parity(EVEN)[0], 4)
+        yield (f"{name}: one-cup moments vs free Poisson",
+               np.abs(np.subtract(got, free_poisson_moments(delta, 4))).max())
 
         # tangle engine: circle removal, zigzags, diagram oracle
         x = random_element(alg, 2, EVEN, rng)

@@ -85,26 +85,18 @@ class TangleProgram:
         return "\n".join([head] + body + ["}"])
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[(){}:;,>+-]|->")
+_TOKEN = re.compile(r"(?P<tok>->|[A-Za-z_][A-Za-z_0-9]*|\d+|[(){}:;,>+-])"
+                    r"|\s+|#.*|(?P<bad>.)")
 
 
 def _tokenize(text: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
-        bare = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(bare):
-            if bare[pos].isspace():
-                pos += 1
-                continue
-            if bare.startswith("->", pos):
-                yield ("->", lineno, pos + 1)
-                pos += 2
-                continue
-            m = _TOKEN.match(bare, pos)
-            if not m:
-                raise TangleSyntaxError(f"bad character {bare[pos]!r}", lineno, pos + 1)
-            yield (m.group(0), lineno, m.start() + 1)
-            pos = m.end()
+        for m in _TOKEN.finditer(line):
+            if m["bad"]:
+                raise TangleSyntaxError(f"bad character {m['bad']!r}", lineno,
+                                        m.start() + 1)
+            if m["tok"]:
+                yield (m["tok"], lineno, m.start() + 1)
 
 
 class _Cursor:
@@ -350,22 +342,20 @@ def rotation_program(level: int, shading: int, times: int = 1) -> TangleProgram:
 
 
 def _cap_order(pairing) -> list[int]:
-    """Cap positions realizing a pairing, innermost first, on live indices."""
-    live = sorted(p for pair in pairing for p in pair)
-    remaining = [tuple(sorted(p)) for p in pairing]
-    order = []
-    while remaining:
-        for pair in remaining:
-            i, j = pair
-            a, b = live.index(i), live.index(j)
-            if b == a + 1:
-                order.append(a + 1)
-                live.remove(i)
-                live.remove(j)
-                remaining.remove(pair)
-                break
-        else:
+    """Cap positions realizing a pairing, innermost first, on live indices:
+    in one pass over the points, each pair is capped at its closing point,
+    where its opener sits just after the points still open."""
+    partner = {}
+    for i, j in pairing:
+        partner[i], partner[j] = j, i
+    open_points, order = [], []
+    for p in sorted(partner):
+        if partner[p] > p:
+            open_points.append(p)
+        elif open_points.pop() != partner[p]:
             raise ValueError("pairing is crossing")
+        else:
+            order.append(len(open_points) + 1)
     return order
 
 
@@ -379,23 +369,13 @@ def closure_program(pairing, level: int, shading: int) -> TangleProgram:
 
 def diagram_program(pairing, shading: int) -> TangleProgram:
     """Build the loop sum of one non-crossing diagram from the empty boundary
-    with cups, outermost pairs first."""
-    pairs = sorted((tuple(sorted(p)) for p in pairing),
-                   key=lambda p: (p[0], -p[1]))
-    layers = [Layer("cup", pos, shading) for pos in _cup_order(pairs)]
-    k = len(pairs)
-    return TangleProgram("diagram", (), k, shading, tuple(layers))
-
-
-def _cup_order(pairs) -> list[int]:
-    placed: list[int] = []          # original positions already on the boundary
-    order = []
-    for i, j in pairs:              # outermost-first by construction
-        pos = sum(1 for p in placed if p < i) + 1
-        order.append(pos)
-        placed.extend((i, j))
-        placed.sort()
-    return order
+    with cups, in order of their openers (outermost first).  Every point
+    before an opener belongs to a pair opened earlier, so the cup goes in
+    at the opener's rank among all the points."""
+    points = sorted(p for pair in pairing for p in pair)
+    layers = [Layer("cup", points.index(i) + 1, shading)
+              for i in sorted(min(p) for p in pairing)]
+    return TangleProgram("diagram", (), len(points) // 2, shading, tuple(layers))
 
 
 def trace0_via_tangles(alg: LoopAlgebra, x: Element) -> np.ndarray:

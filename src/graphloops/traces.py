@@ -117,22 +117,13 @@ def _phi_word_pairing(alg: LoopAlgebra, edges, sigma=None) -> float:
     return total
 
 
-def phi_vertex(alg: LoopAlgebra, x: Element, v: int | str,
-               method: str = "recursive") -> float:
-    """Vertex functional phi_v(x); loops not based at v contribute 0.
-
-    "recursive" is the interval recursion (`trace_k` at grade 0),
-    "pairing" the explicit sum over non-crossing pairings.
-    """
+def phi_vertex(alg: LoopAlgebra, x: Element, v: int | str) -> float:
+    """Vertex functional phi_v(x), `trace_k` at grade 0 read at v; loops
+    not based at v contribute 0."""
     v = v if isinstance(v, int) else alg.g.vertex(v)
     if alg.g.parity[v] != x.shading:
         raise ValueError("vertex parity does not match the element shading")
-    if method == "recursive":
-        return trace_k(alg, 0, x)[v]
-    if method != "pairing":
-        raise ValueError(f"unknown phi method {method!r}")
-    return sum(c * _phi_word_pairing(alg, w) for b, w, c in
-               zip(x.base.tolist(), x.words.tolist(), x.coeff.tolist()) if b == v)
+    return trace_k(alg, 0, x)[v]
 
 
 def trace_k(alg: LoopAlgebra, k: int, x: Element) -> np.ndarray:
@@ -183,6 +174,25 @@ def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
     the weight for which the tower inclusion is trace-preserving.
     """
     return trace_k(alg, n, x).sum() / alg.pf.delta ** n
+
+
+def cup_moments(alg: LoopAlgebra, v: int, n: int) -> list[float]:
+    """phi_v(cup^m) for m = 0..n: the one-cup element's moments under the
+    loop trace at the even vertex v, powers taken with wedge_0."""
+    cup, power = alg.cup(), alg.vertex_element(v)
+    values = [1.0]
+    for _ in range(n):
+        power = alg.wedge(0, power, cup)
+        values.append(trace_k(alg, 0, power)[v])
+    return values
+
+
+def markov_residual(alg: LoopAlgebra, k: int, y: Element) -> float:
+    """max_v |delta trace_k(include_step(y) wedge_k e_k) - trace_{k-1}(y)|,
+    the Markov property at grade k for y of level k - 1."""
+    e_k = alg.jones_projection(k, tower=True)
+    top = trace_k(alg, k, alg.wedge(k, alg.include_step(y), e_k))
+    return np.abs(alg.pf.delta * top - trace_k(alg, k - 1, y)).max()
 
 
 # -- inner products and positivity -----------------------------------------
@@ -272,26 +282,23 @@ def _tl_gram(alg: LoopAlgebra, elems: list[Element]) -> np.ndarray:
     return gram / alg._mu[even].sum()
 
 
-def _numerical_rank(gram: np.ndarray, rel_tol: float | None = None) -> int:
-    """Singular values above rel_tol * sigma_max; by default above the
-    rounding floor max(rows, cols) eps sigma_max (numpy's matrix_rank)."""
+def _numerical_rank(gram: np.ndarray) -> int:
+    """Singular values above the rounding floor max(rows, cols) eps
+    sigma_max (numpy's matrix_rank)."""
     if gram.size == 0:
         return 0
     sv = np.linalg.svd(gram, compute_uv=False)
-    if rel_tol is None:
-        rel_tol = max(gram.shape) * np.finfo(float).eps
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > max(gram.shape) * np.finfo(float).eps * sv[0]))
 
 
-def free_structure_report(alg: LoopAlgebra, nmax: int = 4,
-                          rank_tol: float | None = None) -> dict:
+def free_structure_report(alg: LoopAlgebra, nmax: int = 4) -> dict:
     """Dimensions of the new-generator spaces of the Temperley-Lieb graded
     algebra, versus the series coefficients of 1 - 1/Phi_TL.
 
     For each degree n: the rank of the diagrams' Gram `_tl_gram` (should be
     Catalan(n) for delta >= 2), the rank of its block on the products of
     lower-degree diagrams, and their difference, compared against the
-    expected coefficient.  Ranks follow `_numerical_rank` with rank_tol.
+    expected coefficient.  Ranks follow `_numerical_rank`.
     A MemoryError comes before any element is built if a degree's Gram
     could read more than GRAM_CAP phi rows (closed walks bound the loops).
     """
@@ -309,9 +316,8 @@ def free_structure_report(alg: LoopAlgebra, nmax: int = 4,
         pairings = list(noncrossing_pairings(2 * n))
         decomposable = [i for i, p in enumerate(pairings) if _splits(p, n)]
         gram = _tl_gram(alg, [alg.tl_element(p) for p in pairings])
-        full_rank = _numerical_rank(gram, rank_tol)
-        sub = gram[np.ix_(decomposable, decomposable)]
-        sub_rank = _numerical_rank(sub, rank_tol)
+        full_rank = _numerical_rank(gram)
+        sub_rank = _numerical_rank(gram[np.ix_(decomposable, decomposable)])
         dim_new = full_rank - sub_rank
         ok = (full_rank == catalan(n)) and (dim_new == expected[n - 1])
         ok_all = ok_all and ok
@@ -320,7 +326,7 @@ def free_structure_report(alg: LoopAlgebra, nmax: int = 4,
             "product_span": sub_rank, "dim_new_generators": dim_new,
             "expected": expected[n - 1], "pass": ok,
         })
-    return {"rows": rows, "pass": ok_all, "rank_tol": rank_tol}
+    return {"rows": rows, "pass": ok_all}
 
 
 def _splits(pairing, n: int) -> bool:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -493,3 +495,24 @@ def test_out_file_and_csv(tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.startswith("name,value,expected,abs_err")
+
+
+def test_csv_quotes_names_with_commas_and_quotes(tmp_path, capsys):
+    # a vertex named `v,1` once wrote `mu[v,1],1,,`: five fields under a
+    # four-field header; read back, every row has four fields and the names
+    names = ("v,1", 'w"2', 'x,"3"')
+    doc = {"vertices": [{"name": names[0], "parity": "+"},
+                        {"name": names[1], "parity": "-"},
+                        {"name": names[2], "parity": "-"}],
+           "edges": [{"name": "e", "from": names[0], "to": names[1]},
+                     {"name": "f", "from": names[0], "to": names[2]}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "graph", "--graph", str(path),
+                        "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "value", "expected", "abs_err"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows if row[0].startswith("mu[")] == \
+        [f"mu[{n}]" for n in names]

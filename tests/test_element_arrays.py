@@ -8,13 +8,24 @@ two agree exactly: same loops, same insertion order, same coefficients to
 the last bit.
 """
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphloops import EVEN, ODD, LoopAlgebra, Loop, perron_frobenius
-from graphloops.elements import PRUNE_TOL
+from graphloops import (EVEN, ODD, LoopAlgebra, Loop, builtin_graph,
+                        loop_tokens, perron_frobenius)
+from graphloops.cli import main
+from graphloops.elements import PRUNE_TOL, loop_order
 from graphloops.ncpairings import noncrossing_pairings
+from graphloops.reports import render_number
+from graphloops.tangles import eval_tangle, parse_tangle
 from test_random_graphs import bipartite_graphs
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (standard library only)
 
 
 class _Sum(dict):
@@ -216,3 +227,49 @@ def test_merge_sums_in_input_order_and_prunes(a3):
 def test_array_ops_equal_the_dict_reference_on_random_graphs(g, seed):
     check_every_op(LoopAlgebra(g, perron_frobenius(g)),
                    np.random.default_rng(seed), 2)
+
+
+# -- row order from the arrays ------------------------------------------------
+
+
+def assert_sorted_terms_order(x):
+    order = loop_order(x)
+    rows = [(Loop(b, tuple(w)), c) for b, w, c in
+            zip(x.base[order].tolist(), x.words[order].tolist(),
+                x.coeff[order].tolist())]
+    assert rows == [(lp, x.terms[lp]) for lp in sorted(x.terms)]
+
+
+def test_loop_order_is_the_sorted_terms_order(a3, s4):
+    # random rows in random order, real and complex, levels 0-3 (level 0 on
+    # every base of the shading) and the empty element of each
+    a5 = builtin_graph("a5")
+    rng = np.random.default_rng(26)
+    for alg in (a3, s4, LoopAlgebra(a5, perron_frobenius(a5))):
+        for x in _samples(alg, rng, 3):
+            assert_sorted_terms_order(x)
+
+
+@given(bipartite_graphs(), st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=15, deadline=None)
+def test_loop_order_is_the_sorted_terms_order_on_random_graphs(g, seed):
+    alg = LoopAlgebra(g, perron_frobenius(g))
+    for x in _samples(alg, np.random.default_rng(seed), 3):
+        assert_sorted_terms_order(x)
+
+
+def test_tangle_rows_are_the_sorted_terms_rows(s4, tmp_path):
+    # the benchmark's tangle op at its default seed: the CLI rows, ordered
+    # and labelled from the arrays, are the rows of sorted(terms)
+    workloads.make_inputs("algebra", workloads.DEFAULT_SEED, str(tmp_path))
+    program, inputs = tmp_path / "program.tgl", tmp_path / "tangle_inputs.json"
+    out = tmp_path / "tangle.json"
+    assert main(["tangle", "--graph", "s4", "--program", str(program),
+                 "--inputs", str(inputs), "--out", str(out)]) == 0
+    got = [(r["name"], r["value"]) for r in json.loads(out.read_text())["rows"]]
+    docs = json.loads(inputs.read_text())
+    x = eval_tangle(s4, parse_tangle(program.read_text()),
+                    {name: s4.from_json_dict(d) for name, d in docs.items()})
+    assert len(got) == len(x.coeff) == 4096
+    assert got == [(loop_tokens(s4.g, lp) or s4.g.vertex_names[lp.base],
+                    render_number(x.terms[lp])) for lp in sorted(x.terms)]

@@ -7,8 +7,8 @@ import pytest
 from graphloops import BipartiteGraph, LoopAlgebra, perron_frobenius, randmat
 from graphloops.elements import Loop, loop_from_tokens
 from graphloops.randmat import (BlockModelSpec, SampledModel, _LazyBlock,
-                                convergence_sweep, estimate_trace,
-                                estimate_traces, loop_target,
+                                convergence_sweep, estimate_traces,
+                                loop_target,
                                 trend_non_increasing)
 
 # the four long words of the benchmark's mc-long workload
@@ -94,7 +94,7 @@ def test_length2_target_formula(a3):
     want = (pf.mu[g.src(0)] * pf.mu[g.tgt(0)]) ** 0.5
     assert loop_target(a3, lp) == pytest.approx(want, rel=1e-12)
     spec = BlockModelSpec(a3, 30, 30, seed=11)
-    est = estimate_trace(spec, lp, samples=60)
+    est = estimate_traces(spec, [lp], samples=60)[0]
     assert est.abs_err <= max(3 * est.stderr, 0.05 * est.target + 0.02)
 
 
@@ -107,15 +107,15 @@ def test_unmatched_loop_target_zero():
     lp = loop_from_tokens(g, "e f'")
     assert loop_target(alg, lp) == 0.0
     spec = BlockModelSpec(alg, 24, 24, seed=3)
-    est = estimate_trace(spec, lp, samples=80)
+    est = estimate_traces(spec, [lp], samples=80)[0]
     assert abs(est.mean) <= 3.5 * est.stderr
 
 
 def test_thread_invariance(a3):
     spec = BlockModelSpec(a3, 10, 10, seed=21)
     lp = loop_from_tokens(a3.g, "e1 e1' e2 e2'")
-    seq = estimate_trace(spec, lp, samples=24, threads=1)
-    par = estimate_trace(spec, lp, samples=24, threads=4)
+    seq = estimate_traces(spec, [lp], samples=24, threads=1)[0]
+    par = estimate_traces(spec, [lp], samples=24, threads=4)[0]
     assert seq.mean == par.mean
     assert seq.stderr == par.stderr
 
@@ -127,7 +127,7 @@ def test_batched_estimates_match_separate(a2):
     l1 = loop_from_tokens(a2.g, "e e' e e'")
     l2 = loop_from_tokens(a2.g, "e e' e e' e e'")
     both = estimate_traces(spec, [l2, l1], samples=20)
-    alone = estimate_trace(spec, l1, samples=20)
+    alone = estimate_traces(spec, [l1], samples=20)[0]
     assert (both[1].mean, both[1].stderr) == (alone.mean, alone.stderr)
 
 
@@ -142,8 +142,8 @@ def test_seed_variation_consistent(a2):
     lp = loop_from_tokens(a2.g, "e e' e e'")
     spec1 = BlockModelSpec(a2, 16, 16, seed=101)
     spec2 = BlockModelSpec(a2, 16, 16, seed=202)
-    e1 = estimate_trace(spec1, lp, samples=80)
-    e2 = estimate_trace(spec2, lp, samples=80)
+    e1 = estimate_traces(spec1, [lp], samples=80)[0]
+    e2 = estimate_traces(spec2, [lp], samples=80)[0]
     assert abs(e1.mean - e2.mean) <= 3.0 * (e1.stderr + e2.stderr)
 
 
@@ -155,8 +155,8 @@ def test_dense_sweep_rows_match_single_size(a3):
     rows = convergence_sweep(a3, [lp], grid, samples=12, seed=9, probes=2,
                              threads=2)[lp]
     for (n, m), row in zip(grid, rows):
-        est = estimate_trace(BlockModelSpec(a3, n, m, seed=9), lp,
-                             samples=12, probes=2)
+        est = estimate_traces(BlockModelSpec(a3, n, m, seed=9), [lp],
+                              samples=12, probes=2)[0]
         assert (row["N"], row["M"]) == (n, m)
         assert (row["estimate"], row["stderr"]) == (est.mean, est.stderr)
 

@@ -97,8 +97,8 @@ def test_algebra_identities_hold(g, seed):
     assert np.abs(d).max() <= 1e-9
     for lp in alg.basis(2, EVEN)[:12]:
         x = alg.single_loop(lp)
-        assert abs(phi_vertex(alg, x, lp.base, "pairing")
-                   - phi_vertex(alg, x, lp.base, "recursive")) <= 1e-10
+        assert abs(_phi_word_pairing(alg, lp.edges)
+                   - phi_vertex(alg, x, lp.base)) <= 1e-10
 
 
 @given(bipartite_graphs(), st.integers(min_value=0, max_value=2 ** 31))

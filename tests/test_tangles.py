@@ -235,10 +235,54 @@ def test_naturality_program_concatenation(test_algebras):
         assert (via_two - direct).norm_inf() <= 1e-10
 
 
+def _search_cap_order(pairing):
+    """Reference: repeatedly cap the first remaining pair whose points are
+    adjacent among the live ones."""
+    live = sorted(p for pair in pairing for p in pair)
+    remaining = [tuple(sorted(p)) for p in pairing]
+    order = []
+    while remaining:
+        for pair in remaining:
+            a, b = live.index(pair[0]), live.index(pair[1])
+            if b == a + 1:
+                order.append(a + 1)
+                live.remove(pair[0])
+                live.remove(pair[1])
+                remaining.remove(pair)
+                break
+        else:
+            raise ValueError("pairing is crossing")
+    return order
+
+
+def _placed_cup_order(pairing):
+    """Reference: cup outermost pairs first, each after the points already
+    placed to its left."""
+    placed, order = [], []
+    for i, j in sorted((tuple(sorted(p)) for p in pairing),
+                       key=lambda p: (p[0], -p[1])):
+        order.append(sum(1 for p in placed if p < i) + 1)
+        placed = sorted(placed + [i, j])
+    return order
+
+
 def test_closure_program_cap_order():
     prog = closure_program(((1, 4), (2, 3)), 2, EVEN)
     caps = [l.arg for l in prog.layers if l.kind == "cap"]
     assert caps == [2, 1]
+    # every non-crossing pairing of up to 12 points, as enumerated, with
+    # its pairs written backwards and on points that are not 1..2k
+    for two_k in range(0, 13, 2):
+        for pairing in noncrossing_pairings(two_k):
+            for p in (pairing, tuple((j, i) for i, j in pairing),
+                      tuple((3 * i + 1, 3 * j + 1) for i, j in pairing)):
+                prog = closure_program(p, two_k // 2, EVEN)
+                assert [l.arg for l in prog.layers[1:]] == _search_cap_order(p)
+                prog = diagram_program(p, EVEN)
+                assert [l.arg for l in prog.layers] == _placed_cup_order(p)
+    for crossing in (((1, 3), (2, 4)), ((1, 5), (2, 3), (4, 6))):
+        with pytest.raises(ValueError, match="crossing"):
+            closure_program(crossing, 2, EVEN)
 
 
 def test_eval_validates_input_declaration(a3):

@@ -8,9 +8,9 @@ from graphloops import (EVEN, ODD, BipartiteGraph, Loop, LoopAlgebra,
                         loop_from_tokens, perron_frobenius)
 from graphloops.ncpairings import free_poisson_moments, noncrossing_pairings
 from graphloops.tangles import random_element, trace0_via_tangles
-from graphloops.traces import (free_structure_report, gram_matrix,
-                               gram_psd_check, inner_product, phi_vertex,
-                               trace_k, usual_trace)
+from graphloops.traces import (_phi_word_pairing, free_structure_report,
+                               gram_matrix, gram_psd_check, inner_product,
+                               phi_vertex, trace_k, usual_trace)
 
 
 def test_phi_base_case(a3):
@@ -37,8 +37,8 @@ def test_phi_pairing_equals_recursion_all_small_loops(test_algebras):
             for shading in (EVEN, ODD):
                 for lp in alg.basis(level, shading):
                     x = alg.single_loop(lp)
-                    a = phi_vertex(alg, x, lp.base, "pairing")
-                    b = phi_vertex(alg, x, lp.base, "recursive")
+                    a = _phi_word_pairing(alg, lp.edges)
+                    b = phi_vertex(alg, x, lp.base)
                     assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
