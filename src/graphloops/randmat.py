@@ -20,6 +20,8 @@ reproducible from (seed, i) regardless of thread count.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -103,8 +105,9 @@ class _LazyBlock:
     The last term is fresh iid Gaussian on the complementary subspaces
     whatever was queried before, so a new direction needs only one fresh
     Gaussian row or column.  G is projected off P only when it is read.
-    P^T, A, Q^T and G^T lead buffers of `p_cap` or `q_cap` rows (`probes`
-    per letter of a loop), regrown when a query overruns them.
+    P^T, A, Q^T and G^T lead buffers of `p_cap` or `q_cap` rows that
+    outlive the queries: `restart` forgets them and keeps the buffers, and
+    a query that overruns a buffer regrows it.
     """
 
     P = property(lambda self: self._Pt[:self.p].T)
@@ -113,12 +116,18 @@ class _LazyBlock:
     G = property(lambda self: self._Gt[:self.q].T)
 
     def __init__(self, rows: int, cols: int, var: float,
-                 rng: np.random.Generator, p_cap: int = 0, q_cap: int = 0):
-        self.var, self.rng, self.p, self.q = var, rng, 0, 0
+                 rng: np.random.Generator | None, p_cap: int = 0,
+                 q_cap: int = 0):
+        self.var = var
         self._Pt, self._A = (np.empty((min(p_cap, rows), n), np.complex128)
                              for n in (rows, cols))
         self._Qt, self._Gt = (np.empty((min(q_cap, cols), n), np.complex128)
                               for n in (cols, rows))
+        self.restart(rng)
+
+    def restart(self, rng: np.random.Generator | None):
+        """Forget every query: the block is a fresh draw from `rng`."""
+        self.rng, self.p, self.q = rng, 0, 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v = P (A v - P* y) + y, y = G c + g R for v = Q c + Q_new R."""
@@ -156,14 +165,29 @@ class _LazyBlock:
         return known + self.var * float(self.rng.gamma((rows - p) * (cols - q)))
 
 
+def _reserve(spec: BlockModelSpec, loops, probes: int) -> dict[int, _LazyBlock]:
+    """One `_LazyBlock` per positive edge with room for any of `loops`:
+    per direction of the edge, `probes` times the most letters of it that
+    one loop has, capped at the block side."""
+    g = spec.alg.g
+
+    def most(e: int) -> int:
+        return probes * max((lp.edges.count(e) for lp in loops), default=0)
+    return {e: _LazyBlock(spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e)),
+                          spec.entry_variance(e), None, most(e ^ 1), most(e))
+            for e in g.positive_edges()}
+
+
 class SampledModel:
     """Sample `sample_index` of the block model, drawn lazily per loop.
 
-    Each `loop_trace` call starts from unqueried blocks and the stream
+    Each `loop_trace` call restarts the blocks, unqueried, on the stream
     default_rng([seed, sample index, N, M, base, length, *edges]), so a
     loop's value depends neither on its batch-mates nor on the thread
-    count, and grid sizes are sampled independently.  `blocks` holds the
-    `_LazyBlock`s of the latest call.
+    count, and grid sizes are sampled independently.  `blocks` is the
+    reservation the calls fill in place, holding the latest call's
+    queries: sized from the first word unless `estimate_traces` hands the
+    model its worker's.
     """
 
     def __init__(self, spec: BlockModelSpec, sample_index: int = 0):
@@ -180,16 +204,14 @@ class SampledModel:
         estimate driven by matrix-vector chains, one `apply_block` per
         letter.  Probe noise is part of the reported sampling error.
         """
-        spec, g = self.spec, self.spec.alg.g
+        spec = self.spec
         self.rng = default_rng(
             [spec.seed, self.sample_index, spec.N, spec.M, lp.base,
              len(lp.edges), *lp.edges])
-        self.blocks = {e: _LazyBlock(spec.block_dim(g.src(e)),
-                                     spec.block_dim(g.tgt(e)),
-                                     spec.entry_variance(e), self.rng,
-                                     probes * lp.edges.count(e ^ 1),
-                                     probes * lp.edges.count(e))
-                       for e in g.positive_edges()}
+        if not self.blocks:
+            self.blocks = _reserve(spec, [lp], probes)
+        for block in self.blocks.values():
+            block.restart(self.rng)
         norm = 1.0 / (spec.N * spec.M)
         if len(lp.edges) == 0:
             return spec.tr_d(lp.base)
@@ -237,21 +259,28 @@ def estimate_traces(spec: BlockModelSpec, loops, samples: int,
 
     Sample i evaluates every loop on its own `SampledModel(spec, i)`, whose
     streams are keyed on (seed, i, N, M) and the loop, and the samples come
-    back in index order, so results do not depend on the thread count.  A
+    back in index order, so results do not depend on the thread count.
+    Each of the min(threads, samples, CPUs) workers makes one reservation,
+    sized for the whole batch, that all its samples fill in place.  A
     standard error needs at least two samples.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
     loops = list(loops)
+    workers = min(threads, samples, os.cpu_count() or 1)
+    reserved = threading.local()
 
     def one(i: int) -> list[float]:
         model = SampledModel(spec, i)
+        if not hasattr(reserved, "blocks"):
+            reserved.blocks = _reserve(spec, loops, probes)
+        model.blocks = reserved.blocks
         return [model.loop_trace(lp, probes) for lp in loops]
 
-    if threads > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             data = list(pool.map(one, range(samples)))
     else:
         data = [one(i) for i in range(samples)]

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from graphloops.cli import main
@@ -347,6 +348,41 @@ def test_selftest_verdict(capsys, tol, code, all_pass):
     assert rows[-1]["name"] == "all_pass"
     assert rows[-1]["value"] == all_pass
     assert got == code
+
+
+def test_nan_pairing_functional_fails_selftest(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0, so a row kept as a running max would pass
+    monkeypatch.setattr("graphloops.selftest._phi_word_pairing",
+                        lambda alg, w: float("nan"))
+    code, out = run_cli(capsys, "selftest")
+    rows = {r["name"]: r["value"] for r in json.loads(out)["rows"]}
+    for name in ("a2", "a3", "s4"):
+        assert rows[f"{name}: pairing vs recursive functional"] == "nan"
+    assert rows["all_pass"] == "0"
+    assert code == 1
+
+
+def test_selftest_rows_keep_a_nan_of_any_term(monkeypatch):
+    # the rows that take the largest of several deviations read NaN when
+    # their last term is NaN, where max(x, nan) would keep x
+    from graphloops import selftest
+    from graphloops.elements import Element
+
+    norm_inf, calls = Element.norm_inf, []
+    monkeypatch.setattr(Element, "norm_inf",
+                        lambda self: calls.append(1) or norm_inf(self))
+    several = ("unit law", "Jones idempotent", "diagram programs")
+    last = {len(calls) - 1: name for name, _ in selftest.run_selftest()
+            if any(s in name for s in several)}
+    assert len(last) == 3 * (2 + 2 + 1)
+    calls.clear()
+
+    def nan_on_last(self):
+        calls.append(1)
+        return float("nan") if len(calls) - 1 in last else norm_inf(self)
+    monkeypatch.setattr(Element, "norm_inf", nan_on_last)
+    rows = dict(selftest.run_selftest())
+    assert all(np.isnan(rows[name]) for name in last.values())
 
 
 A2_DIGEST, A3_DIGEST, S4_DIGEST = ("f7a8fedeb2993568", "7f771a60eeff2598",

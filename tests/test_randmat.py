@@ -346,3 +346,94 @@ def test_query_steps_stack_nothing_and_factor_without_householder(
     SampledModel(BlockModelSpec(a3, 2, 2, seed=1), 0).loop_trace(lp, 3)
     assert deficient["steps"] > 0
     assert calls == Counter(svd=deficient["steps"])
+
+
+@pytest.mark.parametrize("cpus, sizes", [(64, [3]), (2, [2]), (None, [])],
+                         ids=["samples", "cpus", "unknown-cpus"])
+def test_worker_count_is_capped(a3, monkeypatch, cpus, sizes):
+    # --threads has no upper bound, so the pool takes at most one worker per
+    # sample and per CPU; the executor is replaced by one that records its
+    # size and runs the samples in this thread, so no thread starts
+    import concurrent.futures
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(randmat.os, "cpu_count", lambda: cpus)
+    spec = BlockModelSpec(a3, 4, 4, seed=3)
+    lp = loop_from_tokens(a3.g, "e1 e1' e2 e2'")
+    got = estimate_traces(spec, [lp], samples=3, threads=10_000)[0]
+    assert seen == sizes
+    want = estimate_traces(spec, [lp], samples=3, threads=1)[0]
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+
+MIXED_WORDS = ("e1 e1'", "e1 e1' e2 e2'", "e2 e2' e2 e2' e2 e2'",
+               LONG_WORDS[-1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order", [-1, 1],
+                         ids=["long-then-short", "short-then-long"])
+def test_reused_buffers_keep_no_rows_of_an_earlier_loop(a3, order, threads):
+    # the batch's reservation fits its longest word and every loop and
+    # sample refills it, so rows left past the queried part by an earlier
+    # loop must not reach a later one; a lone model grows its reservation
+    # when a longer word follows
+    spec = BlockModelSpec(a3, 10, 10, seed=21)
+    loops = [loop_from_tokens(a3.g, w) for w in MIXED_WORDS[::order]]
+    batch = estimate_traces(spec, loops, samples=6, probes=3, threads=threads)
+    for lp, est in zip(loops, batch):
+        alone = estimate_traces(spec, [lp], samples=6, probes=3)[0]
+        assert (est.mean, est.stderr) == (alone.mean, alone.stderr), lp
+    model = SampledModel(spec, 4)
+    for lp in loops:
+        want = SampledModel(spec, 4).loop_trace(lp, 3)
+        assert model.loop_trace(lp, 3) == want, lp
+
+
+def _filled(model):
+    return [view for block in model.blocks.values()
+            for view in (block.P, block.A, block.Q, block.G)]
+
+
+def test_a_worker_fills_one_reservation(a3, monkeypatch):
+    # two consecutive loops fill the same buffers, on a lone model and in
+    # every sample of a worker, and `blocks` holds the latest loop's queries
+    spec = BlockModelSpec(a3, 10, 10, seed=21)
+    long, short = (loop_from_tokens(a3.g, w)
+                   for w in (LONG_WORDS[-1], "e1 e1' e2 e2'"))
+    model = SampledModel(spec, 0)
+    model.loop_trace(long, 3)
+    before = _filled(model)
+    model.loop_trace(short, 3)
+    alone = SampledModel(spec, 0)
+    alone.loop_trace(short, 3)
+    for old, new, want in zip(before, _filled(model), _filled(alone)):
+        assert np.shares_memory(old, new)
+        assert new.tobytes() == want.tobytes()
+
+    filled = []
+    loop_trace = SampledModel.loop_trace
+
+    def recorded(self, lp, probes=8):
+        value = loop_trace(self, lp, probes)
+        filled.append(_filled(self))
+        return value
+    monkeypatch.setattr(SampledModel, "loop_trace", recorded)
+    estimate_traces(spec, [long, short], samples=3, probes=3)
+    assert len(filled) == 6
+    for views in filled[1:]:
+        assert all(map(np.shares_memory, filled[0], views))
