@@ -12,9 +12,14 @@ A loop's trace on one sample is an unbiased Hutchinson estimate driven by
 matrix-vector chains (length-2 loops e e' are summed exactly).  The sampler
 (`SampledModel`) never holds a block: it draws each one only along the
 directions the chain queries.  Given the queried left and right subspaces,
-the rest of an iid Gaussian block is fresh iid Gaussian, so each query costs
-O(block side x queried rank) and the model is exact in law.  Sample i is
-reproducible from (seed, i) regardless of thread count.
+the rest of an iid Gaussian block is fresh iid Gaussian, and the blocks'
+law is invariant under a unitary on each vertex space, so a fresh draw's
+part on the axes no query has seen may be replaced by its Bartlett factor
+on new axes.  The chain so works in the r coordinates it has queried at
+each vertex (r <= probes x the letters ending there, plus one at the base)
+and each query costs O(r x queried rank), whatever the block side, while
+the model stays exact in law.  Sample i is reproducible from (seed, i)
+regardless of thread count.
 """
 
 from __future__ import annotations
@@ -88,13 +93,32 @@ def _new_directions(basis: np.ndarray, v: np.ndarray):
     return c, u[:, keep], s[keep, None] * vh[keep]
 
 
-def _grow(buf: np.ndarray, n: int) -> np.ndarray:
-    """`buf` when it has n rows, else a copy with room for 2 n."""
-    return buf if len(buf) >= n else np.resize(buf, (2 * n, buf.shape[1]))
+def _fit(buf: np.ndarray, n: int, m: int) -> np.ndarray:
+    """`buf` when it has n rows of m columns, else a zero-padded copy with
+    m columns and, if it had fewer than n rows, room for 2 n."""
+    rows, cols = buf.shape
+    if rows >= n and cols >= m:
+        return buf
+    out = np.zeros((rows if rows >= n else 2 * n, max(cols, m)), buf.dtype)
+    out[:rows, :cols] = buf
+    return out
+
+
+class _Space:
+    """A vertex space of n axes, of which the queries so far use the first r.
+
+    Every vector a loop has seen or produced on the space lies on those r
+    axes and is held as its r coordinates; `width` is the number of
+    coordinates the buffers of a reservation hold per vector.
+    """
+
+    def __init__(self, n: int, width: int = 0):
+        self.n, self.r, self.width = n, 0, width
 
 
 class _LazyBlock:
-    """One rows x cols block of iid CN(0, var), known only where queried.
+    """One block of iid CN(0, var) from space `cols` to space `rows`,
+    known only where queried.
 
     P (rows x p) and Q (cols x q) are orthonormal bases of the left- and
     right-queried directions, A = P* X, and G holds the Gaussian column
@@ -105,77 +129,145 @@ class _LazyBlock:
     The last term is fresh iid Gaussian on the complementary subspaces
     whatever was queried before, so a new direction needs only one fresh
     Gaussian row or column.  G is projected off P only when it is read.
-    P^T, A, Q^T and G^T lead buffers of `p_cap` or `q_cap` rows that
-    outlive the queries: `restart` forgets them and keeps the buffers, and
-    a query that overruns a buffer regrows it.
+
+    Every vector is held in the r coordinates of its `_Space`, fresh draws
+    entering by `_fresh`.  A vector longer than its space's r comes from a
+    caller outside the chain (all n entries, or `rows` and `cols` given as
+    sizes) and puts both spaces of the block on all n axes.  P^T, A, Q^T
+    and G^T lead buffers that outlive the queries, where a vector stored
+    shorter than its space's r reads as zero-padded: `restart` forgets the
+    queries and keeps the buffers, and a query that overruns one regrows it.
     """
 
-    P = property(lambda self: self._Pt[:self.p].T)
-    A = property(lambda self: self._A[:self.p])
-    Q = property(lambda self: self._Qt[:self.q].T)
-    G = property(lambda self: self._Gt[:self.q].T)
+    P = property(lambda self: self._read("_Pt", self.p, self.left).T)
+    A = property(lambda self: self._read("_A", self.p, self.right))
+    Q = property(lambda self: self._read("_Qt", self.q, self.right).T)
+    G = property(lambda self: self._read("_Gt", self.q, self.left).T)
 
-    def __init__(self, rows: int, cols: int, var: float,
+    def __init__(self, rows: int | _Space, cols: int | _Space, var: float,
                  rng: np.random.Generator | None, p_cap: int = 0,
                  q_cap: int = 0):
         self.var = var
-        self._Pt, self._A = (np.empty((min(p_cap, rows), n), np.complex128)
-                             for n in (rows, cols))
-        self._Qt, self._Gt = (np.empty((min(q_cap, cols), n), np.complex128)
-                              for n in (cols, rows))
+        self.left, self.right = (s if isinstance(s, _Space) else _Space(s)
+                                 for s in (rows, cols))
+        self._Pt, self._A, self._Qt, self._Gt = (
+            np.empty((cap, space.width), np.complex128)
+            for cap, space in ((p_cap, self.left), (p_cap, self.right),
+                               (q_cap, self.right), (q_cap, self.left)))
         self.restart(rng)
 
     def restart(self, rng: np.random.Generator | None):
-        """Forget every query: the block is a fresh draw from `rng`."""
+        """Forget every query: the block is a fresh draw from `rng`, and
+        its spaces use no axis."""
         self.rng, self.p, self.q = rng, 0, 0
+        self.left.r = self.right.r = 0
+
+    def _read(self, name: str, n: int, space: _Space) -> np.ndarray:
+        """The first n vectors of buffer `name` in the r coordinates of
+        `space`."""
+        buf = _fit(getattr(self, name), n, space.r)
+        setattr(self, name, buf)
+        return buf[:n, :space.r]
+
+    def _store(self, name: str, at: int, rows: np.ndarray):
+        """Write `rows` as vectors `at`... of buffer `name`, zero past
+        their length."""
+        k, m = rows.shape
+        buf = _fit(getattr(self, name), at + k, m)
+        buf[at:at + k, :m] = rows
+        buf[at:at + k, m:] = 0
+        setattr(self, name, buf)
+
+    def _enter(self, v: np.ndarray, space: _Space):
+        """Put the block on all n axes when `v` has more entries than
+        `space` has coordinates, as only a caller outside the chain gives."""
+        if len(v) > space.r:
+            self.left.r, self.right.r = self.left.n, self.right.n
+
+    def _fresh(self, space: _Space, k: int) -> np.ndarray:
+        """k fresh CN(0, var) vectors of `space`, as columns, in coordinates.
+
+        Their part on the r known axes is drawn as it is.  Their part on
+        the n - r unseen ones is an iid Gaussian matrix U T (U orthonormal,
+        T upper trapezoidal), and a unitary on the unseen axes, which no
+        query has seen, takes U to t = min(k, n - r) new axes: by Bartlett,
+        |T_jj|^2 / var ~ Gamma(n - r - j) and T_ij ~ CN(0, var) for i < j.
+        """
+        r = space.r
+        t = min(k, space.n - r)
+        g = normals(self.rng, r + t, k, self.var)
+        if t:
+            g[r:] = np.triu(g[r:])
+            j = np.arange(t)
+            diag = self.rng.standard_gamma(space.n - r - j)
+            g[r + j, j] = np.sqrt(self.var * diag)
+            space.r = r + t
+        return g
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v = P (A v - P* y) + y, y = G c + g R for v = Q c + Q_new R."""
+        self._enter(v, self.right)
         c, new, r = _new_directions(self.Q, v)
-        y = self.G @ c
         q, k = self.q, new.shape[1]
         if k:
-            g = normals(self.rng, self._Gt.shape[1], k, self.var)
-            self._Qt, self._Gt = _grow(self._Qt, q + k), _grow(self._Gt, q + k)
-            self._Qt[q:q + k], self._Gt[q:q + k], self.q = new.T, g.T, q + k
-            y += g @ r
-        return self.P @ (self.A @ v - _ct(self.P, y)) + y
+            g = self._fresh(self.left, k)
+            self._store("_Qt", q, new.T)
+            self._store("_Gt", q, g.T)
+            self.q = q + k
+        G, P = self.G, self.P
+        y = G[:, :q] @ c + G[:, q:] @ r
+        return P @ (self.A @ v - _ct(P, y)) + y
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """X* u = A* d + a* R, for u = P d + P_new R; a joins A."""
+        self._enter(u, self.left)
         d, new, r = _new_directions(self.P, u)
-        out = _ct(self.A, d)
         p, k = self.p, new.shape[1]
         if k:
             # a = P_new* G Q* + P_new* X (I - Q Q*), as P_new* P = 0
-            h = normals(self.rng, k, self._A.shape[1], self.var)
-            nb = new.conj().T @ self.G
-            h += (self.Q @ (nb - h @ self.Q).conj().T).conj().T
-            self._Pt, self._A = _grow(self._Pt, p + k), _grow(self._A, p + k)
-            self._Pt[p:p + k], self._A[p:p + k], self.p = new.T, h, p + k
-            out += _ct(h, r)
-        return out
+            h = self._fresh(self.right, k).T
+            Q = self.Q
+            h += (Q @ (new.conj().T @ self.G - h @ Q).conj().T).conj().T
+            self._store("_Pt", p, new.T)
+            self._store("_A", p, h)
+            self.p = p + k
+        A = self.A
+        return _ct(A[:p], d) + _ct(A[p:], r)
 
     def frobenius_sq(self) -> float:
         """||X||_F^2 = ||A||^2 + ||(I - PP*) G||^2 + var Gamma((R - p)(C - q))."""
-        rows, p = self.P.shape
-        cols, q = self.Q.shape
-        b = self.G - self.P @ _ct(self.P, self.G)
+        P, G = self.P, self.G
+        b = G - P @ _ct(P, G)
         known = float(np.vdot(self.A, self.A).real + np.vdot(b, b).real)
-        return known + self.var * float(self.rng.gamma((rows - p) * (cols - q)))
+        unseen = (self.left.n - self.p) * (self.right.n - self.q)
+        return known + self.var * float(self.rng.gamma(unseen))
 
 
-def _reserve(spec: BlockModelSpec, loops, probes: int) -> dict[int, _LazyBlock]:
-    """One `_LazyBlock` per positive edge with room for any of `loops`:
-    per direction of the edge, `probes` times the most letters of it that
-    one loop has, capped at the block side."""
+def _reserve(spec: BlockModelSpec, loops, probes: int):
+    """The vertex spaces and one `_LazyBlock` per positive edge, with room
+    for any of `loops`.  A space's width is `probes` times the most letters
+    ending at it that one loop has, plus one at the base, capped at its
+    side; per direction of an edge, a block holds `probes` times the most
+    letters of it that one loop has, capped at that direction's width."""
     g = spec.alg.g
 
-    def most(e: int) -> int:
-        return probes * max((lp.edges.count(e) for lp in loops), default=0)
-    return {e: _LazyBlock(spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e)),
-                          spec.entry_variance(e), None, most(e ^ 1), most(e))
-            for e in g.positive_edges()}
+    def most(count) -> int:
+        return probes * max(map(count, loops), default=0)
+
+    spaces = []
+    for v in range(g.n_vertices):
+        n = spec.block_dim(v)
+        ends = most(lambda lp: (lp.base == v)
+                    + sum(g.src(e) == v for e in lp.edges))
+        spaces.append(_Space(n, min(n, ends)))
+    blocks = {}
+    for e in g.positive_edges():
+        s, t = spaces[g.src(e)], spaces[g.tgt(e)]
+        blocks[e] = _LazyBlock(
+            s, t, spec.entry_variance(e), None,
+            min(s.width, most(lambda lp: lp.edges.count(e ^ 1))),
+            min(t.width, most(lambda lp: lp.edges.count(e))))
+    return spaces, blocks
 
 
 class SampledModel:
@@ -184,15 +276,16 @@ class SampledModel:
     Each `loop_trace` call restarts the blocks, unqueried, on the stream
     default_rng([seed, sample index, N, M, base, length, *edges]), so a
     loop's value depends neither on its batch-mates nor on the thread
-    count, and grid sizes are sampled independently.  `blocks` is the
-    reservation the calls fill in place, holding the latest call's
-    queries: sized from the first word unless `estimate_traces` hands the
-    model its worker's.
+    count, and grid sizes are sampled independently.  `spaces` (one per
+    vertex) and `blocks` are the reservation the calls fill in place,
+    holding the latest call's queries: sized from the first word unless
+    `estimate_traces` hands the model its worker's.
     """
 
     def __init__(self, spec: BlockModelSpec, sample_index: int = 0):
         self.spec = spec
         self.sample_index = sample_index
+        self.spaces: list[_Space] = []
         self.blocks: dict[int, _LazyBlock] = {}
         self.rng: np.random.Generator | None = None
 
@@ -209,7 +302,7 @@ class SampledModel:
             [spec.seed, self.sample_index, spec.N, spec.M, lp.base,
              len(lp.edges), *lp.edges])
         if not self.blocks:
-            self.blocks = _reserve(spec, [lp], probes)
+            self.spaces, self.blocks = _reserve(spec, [lp], probes)
         for block in self.blocks.values():
             block.restart(self.rng)
         norm = 1.0 / (spec.N * spec.M)
@@ -218,15 +311,22 @@ class SampledModel:
         if len(lp.edges) == 2 and lp.edges[1] == (lp.edges[0] ^ 1):
             block = self.blocks.get(lp.edges[0]) or self.blocks[lp.edges[0] ^ 1]
             return norm * block.frobenius_sq()
+        # z = B R with B orthonormal, and the model is unitarily invariant,
+        # so B may be the first axes of the base space
         z = self.probe_matrix(spec.block_dim(lp.base), probes)
+        z = _new_directions(z[:, :0], z)[2]
+        self.spaces[lp.base].r = len(z)
         w = z
         for e in reversed(lp.edges):
             w = self.apply_block(e, w)
-        vals = np.einsum("ij,ij->j", z.conj(), w)
+        vals = np.einsum("ij,ij->j", z.conj(), w[:len(z)])
         return norm * float(vals.mean().real)
 
     def apply_block(self, e: int, w: np.ndarray) -> np.ndarray:
-        """X_e @ w; a negative edge answers as the adjoint of its opposite."""
+        """X_e @ w; a negative edge answers as the adjoint of its opposite.
+
+        `w` and the answer are in the coordinates of their vertex spaces;
+        a `w` with all n rows puts the block on all n axes."""
         if e in self.blocks:
             return self.blocks[e].matvec(w)
         return self.blocks[e ^ 1].rmatvec(w)
@@ -274,8 +374,8 @@ def estimate_traces(spec: BlockModelSpec, loops, samples: int,
     def one(i: int) -> list[float]:
         model = SampledModel(spec, i)
         if not hasattr(reserved, "blocks"):
-            reserved.blocks = _reserve(spec, loops, probes)
-        model.blocks = reserved.blocks
+            reserved.spaces, reserved.blocks = _reserve(spec, loops, probes)
+        model.spaces, model.blocks = reserved.spaces, reserved.blocks
         return [model.loop_trace(lp, probes) for lp in loops]
 
     if workers > 1:

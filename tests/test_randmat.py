@@ -25,8 +25,8 @@ def test_loop_trace_is_pinned(a3):
     # 12 x 9 block of e1 and so also takes the SVD fallback
     spec = BlockModelSpec(a3, 3, 3, seed=7)
     want = {"e1 e1'": 1.1032241695883314,
-            "e1 e1' e2 e2'": 1.3238605017872562,
-            "e1 e1' e1 e1' e1 e1'": 5.482505291684278}
+            "e1 e1' e2 e2'": 0.9097416519386426,
+            "e1 e1' e1 e1' e1 e1'": 2.4617204798566013}
     for word, value in want.items():
         got = SampledModel(spec, 2).loop_trace(loop_from_tokens(a3.g, word), 4)
         assert got == pytest.approx(value, rel=1e-9), word
@@ -274,6 +274,59 @@ def test_lazy_block_bidiagonal_law():
     for j in range(2):
         df = 2 * (cols - j - 1)
         assert stats.kstest(betas[:, j], stats.chi(df).cdf).pvalue > 1e-3, j
+
+
+@pytest.mark.parametrize("n, probes, word", [(1, 4, 0), (2, 3, 0), (4, 2, 1)],
+                         ids=["runs-out-1", "runs-out-2", "room-4"])
+def test_queried_coordinates_keep_the_law(a3, n, probes, word):
+    """The sampler works in the coordinates it has queried, a fresh draw's
+    unseen part entering as its Bartlett factor on new axes.  Its per-sample
+    values of a long word against the dense reference sampler, by a
+    two-sample Kolmogorov-Smirnov test: at N = M = 1 and 2 the unseen part
+    runs out before the probes do, at N = M = 4 it does not.  A factor
+    whose diagonal ignores its row fails at N = M = 2 and 4.  A draw without
+    its part on the known axes fails on the eight-letter word; the
+    six-letter one reads that part only through directions the reading
+    block has already queried.  4000 samples per sampler, seeds 2024 and
+    2025, p > 1e-3."""
+    from scipy import stats
+
+    spec = BlockModelSpec(a3, n, n, seed=2024)
+    lp = loop_from_tokens(a3.g, LONG_WORDS[word])
+    lazy = [SampledModel(spec, i).loop_trace(lp, probes) for i in range(4000)]
+    dense = _dense_traces(spec, lp, probes, 4000, np.random.default_rng(2025))
+    assert stats.ks_2samp(lazy, dense).pvalue > 1e-3
+
+
+def test_chain_draws_scale_with_queried_coordinates(a3, monkeypatch):
+    # a count, not a timing: drawing each fresh vector on all n axes of a
+    # vertex takes n k values per letter, while in the queried coordinates
+    # a vertex holds at most probes x (letters ending there, plus one at
+    # the base) and a letter draws (r + k) k
+    probes, samples = 4, 2
+    g = a3.g
+    spec = BlockModelSpec(a3, 40, 40, seed=1)
+    loops = [loop_from_tokens(g, w) for w in LONG_WORDS]
+    drawn = Counter()
+    normals = randmat.normals
+
+    def counted(rng, rows, cols, var):
+        drawn["values"] += rows * cols
+        return normals(rng, rows, cols, var)
+    monkeypatch.setattr(randmat, "normals", counted)
+    loop_trace = SampledModel.loop_trace
+
+    def bounded(self, lp, probes=8):
+        value = loop_trace(self, lp, probes)
+        ends = Counter([lp.base, *map(g.src, lp.edges)])
+        for v, space in enumerate(self.spaces):
+            assert space.r <= probes * ends[v], (lp, v, space.r)
+        return value
+    monkeypatch.setattr(SampledModel, "loop_trace", bounded)
+    estimate_traces(spec, loops, samples, probes)
+    ambient = samples * probes * sum(spec.block_dim(g.src(e))
+                                     for lp in loops for e in lp.edges)
+    assert 0 < drawn["values"] < ambient / 5
 
 
 def test_matrix_free_block_answers_as_one_matrix(a3):
