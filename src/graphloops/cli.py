@@ -14,8 +14,8 @@ The bound is --tol (graph, tower, fock, selftest), --tol * max|m_n|
 
 Exit status: 0 success, 1 failed numeric check, 2 usage error (argparse,
 including a --tol that is not a finite number > 0, or an input the model
-cannot take: a bad value, a missing file, a Fock path basis or a freedim
-Gram past its cap).
+cannot take: a bad value, a missing file, or a Fock path basis, a loop
+walk or a freedim Gram past its cap).
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ from .graphs import BipartiteGraph, EVEN, ODD, PFData
 from .ncpairings import is_noncrossing
 
 PRUNE_TOL = 1e-14
+WALK_CAP = 10 ** 6      # walks one `loop_words` call may hold
 
 
 class Loop(NamedTuple):
@@ -302,10 +303,17 @@ class LoopAlgebra:
         """(base, words) of every loop of 2 level edges based at a vertex of
         the given shading: the walks from those vertices, one `_expand` over
         the out-edges per letter, that end where they began.  Rows are in
-        depth-first order: by base vertex, then edge ids letter by letter."""
+        depth-first order: by base vertex, then edge ids letter by letter.
+        A MemoryError comes before any walk is built if more than WALK_CAP
+        walks would be held at once, counted letter by letter."""
         if level < 0:
             raise ValueError("level must be >= 0")
         base = at = np.array(self.g.vertices_of_parity(shading), dtype=np.intp)
+        count = np.bincount(at, minlength=self.g.n_vertices).astype(float)
+        for _ in range(2 * level):
+            count = np.bincount(self._tgt, count[self._src], len(count))
+            if count.sum() > WALK_CAP:
+                raise MemoryError("loop walks exceed cap")
         words = np.empty((len(at), 0), dtype=np.intp)
         for _ in range(2 * level):
             r, e = _expand(self._out, at)

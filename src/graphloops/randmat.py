@@ -94,12 +94,12 @@ def _new_directions(basis: np.ndarray, v: np.ndarray):
 
 
 def _fit(buf: np.ndarray, n: int, m: int) -> np.ndarray:
-    """`buf` when it has n rows of m columns, else a zero-padded copy with
-    m columns and, if it had fewer than n rows, room for 2 n."""
+    """`buf` when it has n rows of m columns, else a zero-padded copy grown
+    to them."""
     rows, cols = buf.shape
     if rows >= n and cols >= m:
         return buf
-    out = np.zeros((rows if rows >= n else 2 * n, max(cols, m)), buf.dtype)
+    out = np.zeros((max(rows, n), max(cols, m)), buf.dtype)
     out[:rows, :cols] = buf
     return out
 
@@ -108,12 +108,11 @@ class _Space:
     """A vertex space of n axes, of which the queries so far use the first r.
 
     Every vector a loop has seen or produced on the space lies on those r
-    axes and is held as its r coordinates; `width` is the number of
-    coordinates the buffers of a reservation hold per vector.
+    axes and is held as its r coordinates.
     """
 
-    def __init__(self, n: int, width: int = 0):
-        self.n, self.r, self.width = n, 0, width
+    def __init__(self, n: int):
+        self.n, self.r = n, 0
 
 
 class _LazyBlock:
@@ -130,13 +129,13 @@ class _LazyBlock:
     whatever was queried before, so a new direction needs only one fresh
     Gaussian row or column.  G is projected off P only when it is read.
 
-    Every vector is held in the r coordinates of its `_Space`, fresh draws
-    entering by `_fresh`.  A vector longer than its space's r comes from a
-    caller outside the chain (all n entries, or `rows` and `cols` given as
-    sizes) and puts both spaces of the block on all n axes.  P^T, A, Q^T
-    and G^T lead buffers that outlive the queries, where a vector stored
-    shorter than its space's r reads as zero-padded: `restart` forgets the
-    queries and keeps the buffers, and a query that overruns one regrows it.
+    Every vector, given, answered or stored, is held in the r coordinates
+    of its `_Space`, fresh draws entering by `_fresh`; a caller holding
+    whole vectors first sets each space's r to its n.  P^T, A, Q^T and G^T
+    lead buffers that start empty and outlive the queries: `restart`
+    forgets the queries and keeps the buffers, a query grows one to the
+    rows and width it needs, and a vector stored shorter than its space's r
+    reads as zero-padded.
     """
 
     P = property(lambda self: self._read("_Pt", self.p, self.left).T)
@@ -144,16 +143,11 @@ class _LazyBlock:
     Q = property(lambda self: self._read("_Qt", self.q, self.right).T)
     G = property(lambda self: self._read("_Gt", self.q, self.left).T)
 
-    def __init__(self, rows: int | _Space, cols: int | _Space, var: float,
-                 rng: np.random.Generator | None, p_cap: int = 0,
-                 q_cap: int = 0):
-        self.var = var
-        self.left, self.right = (s if isinstance(s, _Space) else _Space(s)
-                                 for s in (rows, cols))
+    def __init__(self, rows: _Space, cols: _Space, var: float,
+                 rng: np.random.Generator | None):
+        self.left, self.right, self.var = rows, cols, var
         self._Pt, self._A, self._Qt, self._Gt = (
-            np.empty((cap, space.width), np.complex128)
-            for cap, space in ((p_cap, self.left), (p_cap, self.right),
-                               (q_cap, self.right), (q_cap, self.left)))
+            np.empty((0, 0), np.complex128) for _ in range(4))
         self.restart(rng)
 
     def restart(self, rng: np.random.Generator | None):
@@ -178,12 +172,6 @@ class _LazyBlock:
         buf[at:at + k, m:] = 0
         setattr(self, name, buf)
 
-    def _enter(self, v: np.ndarray, space: _Space):
-        """Put the block on all n axes when `v` has more entries than
-        `space` has coordinates, as only a caller outside the chain gives."""
-        if len(v) > space.r:
-            self.left.r, self.right.r = self.left.n, self.right.n
-
     def _fresh(self, space: _Space, k: int) -> np.ndarray:
         """k fresh CN(0, var) vectors of `space`, as columns, in coordinates.
 
@@ -206,7 +194,6 @@ class _LazyBlock:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v = P (A v - P* y) + y, y = G c + g R for v = Q c + Q_new R."""
-        self._enter(v, self.right)
         c, new, r = _new_directions(self.Q, v)
         q, k = self.q, new.shape[1]
         if k:
@@ -220,7 +207,6 @@ class _LazyBlock:
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """X* u = A* d + a* R, for u = P d + P_new R; a joins A."""
-        self._enter(u, self.left)
         d, new, r = _new_directions(self.P, u)
         p, k = self.p, new.shape[1]
         if k:
@@ -234,40 +220,14 @@ class _LazyBlock:
         A = self.A
         return _ct(A[:p], d) + _ct(A[p:], r)
 
-    def frobenius_sq(self) -> float:
-        """||X||_F^2 = ||A||^2 + ||(I - PP*) G||^2 + var Gamma((R - p)(C - q))."""
-        P, G = self.P, self.G
-        b = G - P @ _ct(P, G)
-        known = float(np.vdot(self.A, self.A).real + np.vdot(b, b).real)
-        unseen = (self.left.n - self.p) * (self.right.n - self.q)
-        return known + self.var * float(self.rng.gamma(unseen))
 
-
-def _reserve(spec: BlockModelSpec, loops, probes: int):
-    """The vertex spaces and one `_LazyBlock` per positive edge, with room
-    for any of `loops`.  A space's width is `probes` times the most letters
-    ending at it that one loop has, plus one at the base, capped at its
-    side; per direction of an edge, a block holds `probes` times the most
-    letters of it that one loop has, capped at that direction's width."""
+def _blocks(spec: BlockModelSpec):
+    """The vertex spaces and one unqueried `_LazyBlock` per positive edge."""
     g = spec.alg.g
-
-    def most(count) -> int:
-        return probes * max(map(count, loops), default=0)
-
-    spaces = []
-    for v in range(g.n_vertices):
-        n = spec.block_dim(v)
-        ends = most(lambda lp: (lp.base == v)
-                    + sum(g.src(e) == v for e in lp.edges))
-        spaces.append(_Space(n, min(n, ends)))
-    blocks = {}
-    for e in g.positive_edges():
-        s, t = spaces[g.src(e)], spaces[g.tgt(e)]
-        blocks[e] = _LazyBlock(
-            s, t, spec.entry_variance(e), None,
-            min(s.width, most(lambda lp: lp.edges.count(e ^ 1))),
-            min(t.width, most(lambda lp: lp.edges.count(e))))
-    return spaces, blocks
+    spaces = [_Space(spec.block_dim(v)) for v in range(g.n_vertices)]
+    return spaces, {e: _LazyBlock(spaces[g.src(e)], spaces[g.tgt(e)],
+                                  spec.entry_variance(e), None)
+                    for e in g.positive_edges()}
 
 
 class SampledModel:
@@ -277,32 +237,30 @@ class SampledModel:
     default_rng([seed, sample index, N, M, base, length, *edges]), so a
     loop's value depends neither on its batch-mates nor on the thread
     count, and grid sizes are sampled independently.  `spaces` (one per
-    vertex) and `blocks` are the reservation the calls fill in place,
-    holding the latest call's queries: sized from the first word unless
-    `estimate_traces` hands the model its worker's.
+    vertex) and `blocks` (one per positive edge) hold the latest call's
+    queries, and every call refills them in place; `estimate_traces` hands
+    each sample the ones its worker keeps.
     """
 
     def __init__(self, spec: BlockModelSpec, sample_index: int = 0):
         self.spec = spec
         self.sample_index = sample_index
-        self.spaces: list[_Space] = []
-        self.blocks: dict[int, _LazyBlock] = {}
+        self.spaces, self.blocks = _blocks(spec)
         self.rng: np.random.Generator | None = None
 
     def loop_trace(self, lp: Loop, probes: int = 8) -> float:
         """tr(d_v X_w) for this sample, normalized by 1/(N M).
 
         Length-2 loops of an edge and its opposite are summed exactly from
-        the block's Frobenius norm; longer words use an unbiased Hutchinson
-        estimate driven by matrix-vector chains, one `apply_block` per
-        letter.  Probe noise is part of the reported sampling error.
+        the block's squared Frobenius norm, var Gamma(R C) for an unqueried
+        R x C block; longer words use an unbiased Hutchinson estimate driven
+        by matrix-vector chains, one `apply_block` per letter.  Probe noise
+        is part of the reported sampling error.
         """
         spec = self.spec
         self.rng = default_rng(
             [spec.seed, self.sample_index, spec.N, spec.M, lp.base,
              len(lp.edges), *lp.edges])
-        if not self.blocks:
-            self.spaces, self.blocks = _reserve(spec, [lp], probes)
         for block in self.blocks.values():
             block.restart(self.rng)
         norm = 1.0 / (spec.N * spec.M)
@@ -310,7 +268,8 @@ class SampledModel:
             return spec.tr_d(lp.base)
         if len(lp.edges) == 2 and lp.edges[1] == (lp.edges[0] ^ 1):
             block = self.blocks.get(lp.edges[0]) or self.blocks[lp.edges[0] ^ 1]
-            return norm * block.frobenius_sq()
+            size = block.left.n * block.right.n
+            return norm * (block.var * float(self.rng.gamma(size)))
         # z = B R with B orthonormal, and the model is unitarily invariant,
         # so B may be the first axes of the base space
         z = self.probe_matrix(spec.block_dim(lp.base), probes)
@@ -325,8 +284,7 @@ class SampledModel:
     def apply_block(self, e: int, w: np.ndarray) -> np.ndarray:
         """X_e @ w; a negative edge answers as the adjoint of its opposite.
 
-        `w` and the answer are in the coordinates of their vertex spaces;
-        a `w` with all n rows puts the block on all n axes."""
+        `w` and the answer are in the coordinates of their vertex spaces."""
         if e in self.blocks:
             return self.blocks[e].matvec(w)
         return self.blocks[e ^ 1].rmatvec(w)
@@ -360,8 +318,8 @@ def estimate_traces(spec: BlockModelSpec, loops, samples: int,
     Sample i evaluates every loop on its own `SampledModel(spec, i)`, whose
     streams are keyed on (seed, i, N, M) and the loop, and the samples come
     back in index order, so results do not depend on the thread count.
-    Each of the min(threads, samples, CPUs) workers makes one reservation,
-    sized for the whole batch, that all its samples fill in place.  A
+    Each of the min(threads, samples, CPUs) workers keeps one set of
+    blocks, which every loop of every sample it runs refills in place.  A
     standard error needs at least two samples.
     """
     if samples < 2:
@@ -369,13 +327,13 @@ def estimate_traces(spec: BlockModelSpec, loops, samples: int,
                          f"got {samples}")
     loops = list(loops)
     workers = min(threads, samples, os.cpu_count() or 1)
-    reserved = threading.local()
+    kept = threading.local()
 
     def one(i: int) -> list[float]:
         model = SampledModel(spec, i)
-        if not hasattr(reserved, "blocks"):
-            reserved.spaces, reserved.blocks = _reserve(spec, loops, probes)
-        model.spaces, model.blocks = reserved.spaces, reserved.blocks
+        if not hasattr(kept, "blocks"):
+            kept.spaces, kept.blocks = model.spaces, model.blocks
+        model.spaces, model.blocks = kept.spaces, kept.blocks
         return [model.loop_trace(lp, probes) for lp in loops]
 
     if workers > 1:

@@ -9,10 +9,13 @@ changes neither.
 """
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,6 +143,19 @@ def test_sampler_counts_reach_the_benchmark():
     for key in ("randmat.samples", "randmat.matvecs", "_normals.values"):
         assert counts.get(key, 0) > 0, key
 
+
+@pytest.mark.parametrize("workload", ["mc-sweep", "mc-long"])
+def test_monte_carlo_ops_pass_their_bounds(workload, tmp_path, monkeypatch):
+    # the benchmark calls estimate_traces and convergence_sweep with
+    # positional arguments and reads sweep[loop]; an op past its own Monte
+    # Carlo bound raises OpFailed
+    found = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(found)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    found.loader.exec_module(workloads)
+    for op in workloads.ops(workload, workloads.DEFAULT_SEED, str(tmp_path)):
+        assert op.run(str(tmp_path)), op.name
 
 
 # the fewest arguments each subcommand takes; perfbench's `cli_op` appends

@@ -447,6 +447,16 @@ def test_fock_past_basis_cap_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_tower_past_walk_cap_is_usage_error(monkeypatch, capsys):
+    # the walks are counted before any is built; a3 reaches the real cap at
+    # --k 20, and --k 40 would walk about 2^39 loops without it
+    monkeypatch.setattr("graphloops.elements.WALK_CAP", 1000)
+    code = main(["tower", "--graph", "a3", "--k", "12"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: loop walks exceed cap\n"
+
+
 @pytest.mark.parametrize("max_len", ["17", "22"])
 def test_fock_max_len_past_basis_cap_is_usage_error(capsys, max_len):
     # the oracle's basis is only max_len // 2 deep, but its loop walk holds

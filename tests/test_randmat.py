@@ -7,7 +7,7 @@ import pytest
 from graphloops import BipartiteGraph, LoopAlgebra, perron_frobenius, randmat
 from graphloops.elements import Loop, loop_from_tokens
 from graphloops.randmat import (BlockModelSpec, SampledModel, _LazyBlock,
-                                convergence_sweep, estimate_traces,
+                                _Space, convergence_sweep, estimate_traces,
                                 loop_target,
                                 trend_non_increasing)
 
@@ -61,12 +61,20 @@ def test_same_seed_reproduces(a3):
     assert SampledModel(spec, 4).loop_trace(lp, 4) != value
 
 
+def _on_all_axes(*spaces):
+    # the chain works in the coordinates it has queried; a caller holding
+    # whole vectors puts each vertex space on all its axes first
+    for space in spaces:
+        space.r = space.n
+
+
 def test_adjoint_block_exact(a3):
     # the whole block read through X then through X* is one matrix and
     # its conjugate transpose
     spec = BlockModelSpec(a3, 3, 3, seed=5)
     model = SampledModel(spec, 0)
     model.loop_trace(loop_from_tokens(a3.g, "e1 e1' e2 e2'"), 2)
+    _on_all_axes(*model.spaces)
     g, e = a3.g, 0
     rows, cols = spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e))
     x = model.apply_block(e, np.eye(cols))
@@ -78,6 +86,7 @@ def test_empirical_entry_variance(a3):
     spec = BlockModelSpec(a3, 10, 10, seed=9)
     model = SampledModel(spec, 0)
     model.loop_trace(loop_from_tokens(a3.g, "e1 e1' e2 e2'"), 1)
+    _on_all_axes(*model.spaces)
     g = a3.g
     for e in g.positive_edges():
         block = model.apply_block(e, np.eye(spec.block_dim(g.tgt(e))))
@@ -253,7 +262,8 @@ def test_lazy_block_bidiagonal_law():
     rng = np.random.default_rng(2024)
     alphas, betas = [], []
     for _ in range(n_blocks):
-        block = _LazyBlock(rows, cols, var, rng)
+        block = _LazyBlock(_Space(rows), _Space(cols), var, rng)
+        _on_all_axes(block.left, block.right)
         v, u = np.eye(cols, 1, dtype=complex), 0.0
         a, b = [], [0.0]
         for j in range(3):
@@ -335,6 +345,7 @@ def test_matrix_free_block_answers_as_one_matrix(a3):
     spec = BlockModelSpec(a3, 2, 2, seed=5)
     model = SampledModel(spec, 0)
     model.loop_trace(loop_from_tokens(a3.g, "e1 e1' e2 e2'"), 2)
+    _on_all_axes(*model.spaces)
     g = a3.g
     e = g.oriented_edge_by_name("e1")
     rows, cols = spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e))
@@ -369,7 +380,7 @@ def test_direction_bases_stay_orthonormal(a3, n, probes):
 
 def test_query_steps_stack_nothing_and_factor_without_householder(
         a3, monkeypatch):
-    # bases are reserved from the word and filled in place; the SVD runs
+    # bases are buffers that the queries fill in place; the SVD runs
     # exactly on the steps whose query has a dependent direction
     calls = Counter()
 
@@ -441,10 +452,10 @@ MIXED_WORDS = ("e1 e1'", "e1 e1' e2 e2'", "e2 e2' e2 e2' e2 e2'",
 @pytest.mark.parametrize("order", [-1, 1],
                          ids=["long-then-short", "short-then-long"])
 def test_reused_buffers_keep_no_rows_of_an_earlier_loop(a3, order, threads):
-    # the batch's reservation fits its longest word and every loop and
-    # sample refills it, so rows left past the queried part by an earlier
-    # loop must not reach a later one; a lone model grows its reservation
-    # when a longer word follows
+    # a worker's buffers grow to fit its longest word and every loop and
+    # sample refills them, so rows left past the queried part by an earlier
+    # loop must not reach a later one; a lone model's buffers grow when a
+    # longer word follows
     spec = BlockModelSpec(a3, 10, 10, seed=21)
     loops = [loop_from_tokens(a3.g, w) for w in MIXED_WORDS[::order]]
     batch = estimate_traces(spec, loops, samples=6, probes=3, threads=threads)
@@ -462,9 +473,11 @@ def _filled(model):
             for view in (block.P, block.A, block.Q, block.G)]
 
 
-def test_a_worker_fills_one_reservation(a3, monkeypatch):
+def test_a_worker_refills_its_buffers(a3, monkeypatch):
     # two consecutive loops fill the same buffers, on a lone model and in
-    # every sample of a worker, and `blocks` holds the latest loop's queries
+    # every sample of a worker, and `blocks` holds the latest loop's
+    # queries; with the short word first, the buffers grow in sample 0 and
+    # every later loop refills the grown ones
     spec = BlockModelSpec(a3, 10, 10, seed=21)
     long, short = (loop_from_tokens(a3.g, w)
                    for w in (LONG_WORDS[-1], "e1 e1' e2 e2'"))
@@ -490,3 +503,10 @@ def test_a_worker_fills_one_reservation(a3, monkeypatch):
     assert len(filled) == 6
     for views in filled[1:]:
         assert all(map(np.shares_memory, filled[0], views))
+
+    filled.clear()
+    estimate_traces(spec, [short, long], samples=3, probes=3)
+    assert len(filled) == 6
+    assert not any(map(np.shares_memory, filled[0], filled[1]))
+    for views in filled[2:]:
+        assert all(map(np.shares_memory, filled[1], views))
