@@ -44,8 +44,8 @@ from .ncpairings import (catalan, indecomposable_dimension_series,
 
 
 _CHUNK = 4096      # rows per pass of the phi kernel; bounds its scratch
-_PAIR_BLOCK = 1 << 16   # pair rows per kernel call of `_gram`
-GRAM_CAP = 1 << 25      # phi rows of one freedim degree (s4: 4096^2 at n = 6)
+_PAIR_BLOCK = 1 << 16   # pair rows per phi call of `_gram` and `cup_moments`
+GRAM_CAP = 1 << 25      # pair rows of a freedim degree or a moments power
 
 
 def _phi_words(words: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -178,13 +178,20 @@ def phi_frame(alg: LoopAlgebra, x: Element, n: int) -> float:
 
 def cup_moments(alg: LoopAlgebra, v: int, n: int) -> list[float]:
     """phi_v(cup^m) for m = 0..n: the one-cup element's moments under the
-    loop trace at the even vertex v, powers taken with wedge_0."""
-    cup, power = alg.cup(), alg.vertex_element(v)
-    values = [1.0]
-    for _ in range(n):
-        power = alg.wedge(0, power, cup)
-        values.append(trace_k(alg, 0, power)[v])
-    return values
+    loop trace at the even vertex v, as a^T Phi b for a, b the coefficients
+    of the wedge_0 powers cup^ceil(m/2), cup^floor(m/2) at v and Phi the phi
+    of their pair rows; cup^m is never formed, merged or pruned.  MemoryError
+    before any wedge if cup^n would have more than GRAM_CAP rows at v."""
+    cup = alg.cup()
+    if np.count_nonzero(cup.base == v) ** n > GRAM_CAP:
+        raise MemoryError("moments pair rows exceed cap")
+    powers = [alg.vertex_element(v)]
+    for _ in range((n + 1) // 2):
+        powers.append(alg.wedge(0, powers[-1], cup))
+    halves = ((powers[(m + 1) // 2], powers[m // 2]) for m in range(n + 1))
+    return [sum(a.coeff[rows] @ block @ b.coeff for rows, block
+                in _pair_blocks(a.words, b.words, alg._sigma[1]))
+            for a, b in halves]
 
 
 def markov_residual(alg: LoopAlgebra, k: int, y: Element) -> float:
@@ -222,16 +229,24 @@ def gram_matrix(alg: LoopAlgebra, v: int, k: int, sigma=None):
 
 def _gram(alg: LoopAlgebra, v: int, words: np.ndarray,
           sigmas: np.ndarray) -> np.ndarray:
-    """The Gram mu(v) phi(dagger(w_i) w_j) of the loops `words`, all based
-    at v; its pair rows are built about `_PAIR_BLOCK` at a time."""
-    n = len(words)
-    step, out = max(1, _PAIR_BLOCK // max(n, 1)), np.empty((n, n))
-    for lo in range(0, n, step):
-        left = words[lo:lo + step, ::-1] ^ 1
-        pairs = np.concatenate([np.repeat(left, n, axis=0),
-                                np.tile(words, (len(left), 1))], axis=1)
-        out[lo:lo + step] = _phi_words(pairs, sigmas).reshape(len(left), n)
+    """The Gram mu(v) phi(dagger(w_i) w_j) of the loops `words`, all at v."""
+    out = np.empty((len(words), len(words)))
+    for rows, block in _pair_blocks(words[:, ::-1] ^ 1, words, sigmas):
+        out[rows] = block
     return alg.pf.mu[v] * out
+
+
+def _pair_blocks(left: np.ndarray, right: np.ndarray, sigmas: np.ndarray):
+    """(rows, phi(left[rows][i] right[j]) over i, j) for slices `rows` of
+    `left`: pair rows whole through `_phi_words`, ~`_PAIR_BLOCK` a block."""
+    n = len(right)
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    for lo in range(0, len(left), step):
+        part = left[lo:lo + step]
+        pairs = np.concatenate([np.repeat(part, n, axis=0),
+                                np.tile(right, (len(part), 1))], axis=1)
+        yield (slice(lo, lo + len(part)),
+               _phi_words(pairs, sigmas).reshape(len(part), n))
 
 
 def gram_psd_check(alg: LoopAlgebra, k: int, shading: int = EVEN,

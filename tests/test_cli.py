@@ -141,6 +141,19 @@ def test_freedim_past_its_gram_cap_is_usage_error(capsys):
     assert "freedim Gram exceeds cap" in captured.err
 
 
+def test_moments_past_its_pair_row_cap_is_usage_error(capsys, monkeypatch):
+    # with the cap at 4^5, phi_v(cup^5) at the centre of s4 reads 4^5 pair
+    # rows and runs; cup^6 would read 4^6 and stops before any wedge
+    monkeypatch.setattr("graphloops.traces.GRAM_CAP", 4 ** 5)
+    assert run_cli(capsys, "moments", "--graph", "s4", "--n", "5",
+                   "--fock-n", "0")[0] == 0
+    code = main(["moments", "--graph", "s4", "--n", "6", "--fock-n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "moments pair rows exceed cap" in captured.err
+
+
 def _cli_subprocess(*argv):
     return subprocess.run([sys.executable, "-m", "graphloops.cli", *argv],
                           capture_output=True, text=True)

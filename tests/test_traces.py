@@ -136,6 +136,54 @@ def test_cup_moments_match_free_poisson(test_algebras):
                 assert got == pytest.approx(moments[n], rel=1e-9)
 
 
+def test_cup_moments_match_materialized_powers(test_algebras):
+    # the pair-row route against cup^n built by wedge and traced whole
+    for alg in test_algebras.values():
+        cup = alg.cup()
+        for v in alg.g.vertices_of_parity(EVEN):
+            got, x = traces.cup_moments(alg, v, 8), alg.vertex_element(v)
+            for n in range(1, 9):
+                x = alg.wedge(0, x, cup)
+                assert got[n] == pytest.approx(trace_k(alg, 0, x)[v], rel=1e-12)
+
+
+def test_pair_blocks_split_unevenly_agree(monkeypatch):
+    # v2 of a4 has two cup rows of unequal weight, so a block matched to
+    # the wrong coefficients shows.  At 13 pair rows a block, phi(cup^4) and
+    # phi(cup^5) take the 4 and 8 rows of cup^2 and cup^3 against cup^2's 4,
+    # 3 a block (3 + 1 and 3 + 3 + 2), and the Gram of the 5 level-2 loops
+    # 2 + 2 + 1
+    from graphloops import builtin_graph
+    g = builtin_graph("a4")
+    alg, v = LoopAlgebra(g, perron_frobenius(g)), g.vertex("v2")
+    base, words = alg.loop_words(2, EVEN)
+    words = words[base == v]
+
+    def run():
+        return (traces.cup_moments(alg, v, 9),
+                traces._gram(alg, v, words, alg._sigma[1]))
+
+    want = run()
+    monkeypatch.setattr(traces, "_PAIR_BLOCK", 13)
+    got = run()
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+
+def test_cup_moments_wedge_no_more_than_half_powers(s4, monkeypatch):
+    # cup^9 at the centre of s4 has 4^9 rows; only powers up to cup^5 are built
+    sizes, wedge = [], LoopAlgebra.wedge
+
+    def spy(self, *args):
+        out = wedge(self, *args)
+        sizes.append(len(out.base))
+        return out
+
+    monkeypatch.setattr(LoopAlgebra, "wedge", spy)
+    traces.cup_moments(s4, s4.g.vertices_of_parity(EVEN)[0], 9)
+    assert max(sizes) == 4 ** 5
+
+
 def test_catalan_moments_on_a2(a2):
     # delta = 1: Tr0((e e')^n) = Catalan(n)
     from graphloops.ncpairings import catalan
