@@ -32,7 +32,7 @@ from .graphs import EVEN, ODD, load_pf
 from .elements import LoopAlgebra, loop_from_tokens, loop_label, loop_order
 from .fock import FockSpace, commutator_diagnostics, oracle_check_trace
 from .ncpairings import free_poisson_moments
-from .randmat import convergence_sweep, trend_non_increasing
+from .randmat import convergence_sweep, sample_groups, trend_non_increasing
 from .reports import RunReport, emit_report, graph_digest
 from .selftest import run_selftest
 from .tangles import eval_tangle, parse_tangle, random_element
@@ -171,8 +171,10 @@ def cmd_mc(alg, args, report) -> bool:
     if args.grid and min(args.N, args.M) < 4:
         raise ValueError("--grid sweeps down to (N/4, M/4): it needs "
                          "--N and --M of at least 4")
+    groups = sample_groups(alg.g, lp, args.samples, args.probes)
     report.parameters.update(loop=args.loop, N=args.N, M=args.M,
-                             samples=args.samples, probes=args.probes)
+                             samples=args.samples, probes=args.probes,
+                             group_samples=len(groups[0]), groups=len(groups))
     report.seed = args.seed
     grid = ([(args.N // 4, args.M // 4), (args.N // 2, args.M // 2)]
             if args.grid else [])

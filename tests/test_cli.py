@@ -418,7 +418,7 @@ REPORT_HEADERS = {
     "mc": (["--graph", "a2", "--loop", "e e'", "--N", "6", "--M", "6",
             "--samples", "4", "--probes", "2", "--seed", "3"],
            {"graph": "a2", "loop": "e e'", "N": 6, "M": 6, "samples": 4,
-            "probes": 2}, 3, A2_DIGEST),
+            "probes": 2, "group_samples": 4, "groups": 1}, 3, A2_DIGEST),
     "freedim": (["--graph", "s4", "--n", "2"], {"graph": "s4", "n": 2}, None,
                 S4_DIGEST),
     "selftest": (["--seed", "7"], {"tol": 1e-9}, 7, A2_DIGEST),

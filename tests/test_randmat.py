@@ -8,7 +8,7 @@ from graphloops import BipartiteGraph, LoopAlgebra, perron_frobenius, randmat
 from graphloops.elements import Loop, loop_from_tokens
 from graphloops.randmat import (BlockModelSpec, SampledModel, _LazyBlock,
                                 _Space, convergence_sweep, estimate_traces,
-                                loop_target,
+                                loop_target, sample_groups,
                                 trend_non_increasing)
 
 # the four long words of the benchmark's mc-long workload
@@ -36,10 +36,8 @@ def test_probe_phases_equal_the_exponential_bit_for_bit(a3):
     # the probes read a table of the four phases; every `mc` row rests on
     # them being the values np.exp(0.5j pi z) gives, to the last bit
     model = SampledModel(BlockModelSpec(a3, 3, 3, seed=7), 0)
-    model.rng = np.random.default_rng(11)
-    z = model.probe_matrix(2280, 32)
-    model.rng = np.random.default_rng(11)
-    draw = model.rng.integers(0, 4, size=(2280, 32))
+    z = model.probe_matrix(2280, 32, np.random.default_rng(11))
+    draw = np.random.default_rng(11).integers(0, 4, size=(2280, 32))
     assert z.tobytes() == np.exp(0.5j * np.pi * draw).tobytes()
 
 
@@ -61,6 +59,13 @@ def test_same_seed_reproduces(a3):
     assert SampledModel(spec, 4).loop_trace(lp, 4) != value
 
 
+def _stacked(spec, lp, probes, n):
+    # the per-sample values of samples 0..n-1, each group of the estimator
+    # run as one stack
+    return np.concatenate([SampledModel(spec, group).loop_trace(lp, probes)
+                           for group in sample_groups(spec.alg.g, lp, n, probes)])
+
+
 def _on_all_axes(*spaces):
     # the chain works in the coordinates it has queried; a caller holding
     # whole vectors puts each vertex space on all its axes first
@@ -77,8 +82,8 @@ def test_adjoint_block_exact(a3):
     _on_all_axes(*model.spaces)
     g, e = a3.g, 0
     rows, cols = spec.block_dim(g.src(e)), spec.block_dim(g.tgt(e))
-    x = model.apply_block(e, np.eye(cols))
-    x_star = model.apply_block(e ^ 1, np.eye(rows))
+    x = model.apply_block(e, np.eye(cols)[None])[0]
+    x_star = model.apply_block(e ^ 1, np.eye(rows)[None])[0]
     assert np.allclose(x_star, x.conj().T, atol=1e-10)
 
 
@@ -89,7 +94,7 @@ def test_empirical_entry_variance(a3):
     _on_all_axes(*model.spaces)
     g = a3.g
     for e in g.positive_edges():
-        block = model.apply_block(e, np.eye(spec.block_dim(g.tgt(e))))
+        block = model.apply_block(e, np.eye(spec.block_dim(g.tgt(e)))[None])[0]
         emp = float(np.mean(np.abs(block) ** 2))
         want = spec.entry_variance(e)
         assert abs(emp - want) <= 0.05 * want
@@ -235,8 +240,7 @@ def test_matrix_free_matches_exact_finite_means(a3):
     rng = np.random.default_rng(2025)
     for word, want in exact.items():
         lp = loop_from_tokens(g, word)
-        lazy = mean_stderr([SampledModel(spec, i).loop_trace(lp, probes)
-                            for i in range(n_samples)])
+        lazy = mean_stderr(_stacked(spec, lp, probes, n_samples))
         dense = mean_stderr(_dense_traces(spec, lp, probes, n_samples, rng))
         for mean, stderr in (lazy, dense):
             assert abs(mean - want) <= 4 * stderr, (word, mean, want)
@@ -245,7 +249,7 @@ def test_matrix_free_matches_exact_finite_means(a3):
     model = SampledModel(spec, 0)
     model.loop_trace(loop_from_tokens(g, "e1 e1' e1 e1'"), probes)
     block = model.blocks[e1]
-    assert block.P.shape[1] == rows and block.Q.shape[1] == c1
+    assert block.P.shape[2] == rows and block.Q.shape[2] == c1
 
 
 def test_lazy_block_bidiagonal_law():
@@ -262,9 +266,9 @@ def test_lazy_block_bidiagonal_law():
     rng = np.random.default_rng(2024)
     alphas, betas = [], []
     for _ in range(n_blocks):
-        block = _LazyBlock(_Space(rows), _Space(cols), var, rng)
+        block = _LazyBlock(_Space(rows), _Space(cols), var, [rng])
         _on_all_axes(block.left, block.right)
-        v, u = np.eye(cols, 1, dtype=complex), 0.0
+        v, u = np.eye(cols, 1, dtype=complex)[None], 0.0
         a, b = [], [0.0]
         for j in range(3):
             u = block.matvec(v) - b[-1] * u
@@ -303,7 +307,7 @@ def test_queried_coordinates_keep_the_law(a3, n, probes, word):
 
     spec = BlockModelSpec(a3, n, n, seed=2024)
     lp = loop_from_tokens(a3.g, LONG_WORDS[word])
-    lazy = [SampledModel(spec, i).loop_trace(lp, probes) for i in range(4000)]
+    lazy = _stacked(spec, lp, probes, 4000)
     dense = _dense_traces(spec, lp, probes, 4000, np.random.default_rng(2025))
     assert stats.ks_2samp(lazy, dense).pvalue > 1e-3
 
@@ -320,9 +324,9 @@ def test_chain_draws_scale_with_queried_coordinates(a3, monkeypatch):
     drawn = Counter()
     normals = randmat.normals
 
-    def counted(rng, rows, cols, var):
-        drawn["values"] += rows * cols
-        return normals(rng, rows, cols, var)
+    def counted(rngs, rows, cols, var):
+        drawn["values"] += len(rngs) * rows * cols
+        return normals(rngs, rows, cols, var)
     monkeypatch.setattr(randmat, "normals", counted)
     loop_trace = SampledModel.loop_trace
 
@@ -355,7 +359,7 @@ def test_matrix_free_block_answers_as_one_matrix(a3):
         dim, queries, edge = ((cols, right, e) if step % 2 == 0
                               else (rows, left, e ^ 1))
         w = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-        queries.append((w, model.apply_block(edge, w)))
+        queries.append((w, model.apply_block(edge, w[None])[0]))
     for u, xu in left:
         for v, xv in right:
             assert np.allclose(u.conj().T @ xv, xu.conj().T @ v, atol=1e-10)
@@ -365,15 +369,17 @@ def test_matrix_free_block_answers_as_one_matrix(a3):
                          ids=["large", "filled-2", "filled-3"])
 def test_direction_bases_stay_orthonormal(a3, n, probes):
     # new directions come from Cholesky QR done twice; one pass alone leaves
-    # ||Q*Q - I|| above 1e-12 where the queries fill the block (N = M = 2, 3)
+    # ||Q*Q - I|| above 1e-12 where the queries fill the block (N = M = 2, 3);
+    # samples 0-2 run as one stack, and each sample's bases are checked
     spec = BlockModelSpec(a3, n, n, seed=1)
-    for i in range(3):
-        for word in LONG_WORDS:
-            model = SampledModel(spec, i)
-            model.loop_trace(loop_from_tokens(a3.g, word), probes)
-            for e, block in model.blocks.items():
-                for basis in (block.P, block.Q):
-                    gram = basis.conj().T @ basis
+    for word in LONG_WORDS:
+        model = SampledModel(spec, range(3))
+        model.loop_trace(loop_from_tokens(a3.g, word), probes)
+        for e, block in model.blocks.items():
+            for basis in (block.P, block.Q):
+                assert len(basis) == 3
+                for i, one in enumerate(basis):
+                    gram = one.conj().T @ one
                     err = np.linalg.norm(gram - np.eye(len(gram)), 2)
                     assert err <= 1e-12, (word, i, e, err)
 
@@ -381,35 +387,41 @@ def test_direction_bases_stay_orthonormal(a3, n, probes):
 def test_query_steps_stack_nothing_and_factor_without_householder(
         a3, monkeypatch):
     # bases are buffers that the queries fill in place; the SVD runs
-    # exactly on the steps whose query has a dependent direction
+    # exactly on the steps whose query has a dependent direction, and in a
+    # stack it factors exactly the samples whose step has one (an SVD call
+    # is counted once per sample it factors)
     calls = Counter()
 
-    def counted(module, name):
+    def counted(module, name, per_sample=False):
         f = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0]) if per_sample else 1
             return f(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((np, "hstack"), (np, "vstack"), (np.linalg, "qr"),
-                         (np.linalg, "svd")):
+    for module, name in ((np, "hstack"), (np, "vstack"), (np.linalg, "qr")):
         counted(module, name)
+    counted(np.linalg, "svd", per_sample=True)
     deficient = Counter()
     new_directions = randmat._new_directions
 
     def watched(basis, v):
         c, new, r = new_directions(basis, v)
-        deficient["steps"] += new.shape[1] < v.shape[1]
+        deficient["steps"] += len(v) * (new.shape[2] < v.shape[2])
         return c, new, r
     monkeypatch.setattr(randmat, "_new_directions", watched)
 
     lp = loop_from_tokens(a3.g, LONG_WORDS[-1])
-    SampledModel(BlockModelSpec(a3, 10, 10, seed=1), 0).loop_trace(lp, 8)
-    assert calls == Counter() and deficient["steps"] == 0
-    SampledModel(BlockModelSpec(a3, 2, 2, seed=1), 0).loop_trace(lp, 3)
-    assert deficient["steps"] > 0
-    assert calls == Counter(svd=deficient["steps"])
+    for samples in (0, range(4)):
+        calls.clear(), deficient.clear()
+        model = SampledModel(BlockModelSpec(a3, 10, 10, seed=1), samples)
+        model.loop_trace(lp, 8)
+        assert calls == Counter() and deficient["steps"] == 0
+        model = SampledModel(BlockModelSpec(a3, 2, 2, seed=1), samples)
+        model.loop_trace(lp, 3)
+        assert deficient["steps"] > 0
+        assert calls == Counter(svd=deficient["steps"])
 
 
 @pytest.mark.parametrize("cpus, sizes", [(64, [3]), (2, [2]), (None, [])],
@@ -453,8 +465,8 @@ MIXED_WORDS = ("e1 e1'", "e1 e1' e2 e2'", "e2 e2' e2 e2' e2 e2'",
                          ids=["long-then-short", "short-then-long"])
 def test_reused_buffers_keep_no_rows_of_an_earlier_loop(a3, order, threads):
     # a worker's buffers grow to fit its longest word and every loop and
-    # sample refills them, so rows left past the queried part by an earlier
-    # loop must not reach a later one; a lone model's buffers grow when a
+    # group refills them, so rows left past the queried part by an earlier
+    # loop must not reach a later one; a lone stack's buffers grow when a
     # longer word follows
     spec = BlockModelSpec(a3, 10, 10, seed=21)
     loops = [loop_from_tokens(a3.g, w) for w in MIXED_WORDS[::order]]
@@ -462,10 +474,10 @@ def test_reused_buffers_keep_no_rows_of_an_earlier_loop(a3, order, threads):
     for lp, est in zip(loops, batch):
         alone = estimate_traces(spec, [lp], samples=6, probes=3)[0]
         assert (est.mean, est.stderr) == (alone.mean, alone.stderr), lp
-    model = SampledModel(spec, 4)
+    model = SampledModel(spec, range(2, 6))
     for lp in loops:
-        want = SampledModel(spec, 4).loop_trace(lp, 3)
-        assert model.loop_trace(lp, 3) == want, lp
+        want = SampledModel(spec, range(2, 6)).loop_trace(lp, 3)
+        assert model.loop_trace(lp, 3).tobytes() == want.tobytes(), lp
 
 
 def _filled(model):
@@ -474,20 +486,22 @@ def _filled(model):
 
 
 def test_a_worker_refills_its_buffers(a3, monkeypatch):
-    # two consecutive loops fill the same buffers, on a lone model and in
-    # every sample of a worker, and `blocks` holds the latest loop's
-    # queries; with the short word first, the buffers grow in sample 0 and
-    # every later loop refills the grown ones
+    # two consecutive loops fill the same buffers, on a lone stack of three
+    # samples and in every group of a worker, and `blocks` holds the latest
+    # loop's queries; with the short word first, the buffers grow in the
+    # first group and every later loop refills the grown ones.  A budget of
+    # one makes every group a single sample, as a worker of six groups.
     spec = BlockModelSpec(a3, 10, 10, seed=21)
     long, short = (loop_from_tokens(a3.g, w)
                    for w in (LONG_WORDS[-1], "e1 e1' e2 e2'"))
-    model = SampledModel(spec, 0)
+    model = SampledModel(spec, range(3))
     model.loop_trace(long, 3)
     before = _filled(model)
     model.loop_trace(short, 3)
-    alone = SampledModel(spec, 0)
+    alone = SampledModel(spec, range(3))
     alone.loop_trace(short, 3)
     for old, new, want in zip(before, _filled(model), _filled(alone)):
+        assert len(new) == 3
         assert np.shares_memory(old, new)
         assert new.tobytes() == want.tobytes()
 
@@ -499,14 +513,140 @@ def test_a_worker_refills_its_buffers(a3, monkeypatch):
         filled.append(_filled(self))
         return value
     monkeypatch.setattr(SampledModel, "loop_trace", recorded)
-    estimate_traces(spec, [long, short], samples=3, probes=3)
-    assert len(filled) == 6
-    for views in filled[1:]:
-        assert all(map(np.shares_memory, filled[0], views))
+    for budget, groups in ((1, 6), (randmat._BUDGET, 2)):
+        monkeypatch.setattr(randmat, "_BUDGET", budget)
+        filled.clear()
+        estimate_traces(spec, [long, short], samples=3, probes=3)
+        assert len(filled) == groups
+        for views in filled[1:]:
+            assert all(map(np.shares_memory, filled[0], views))
 
-    filled.clear()
-    estimate_traces(spec, [short, long], samples=3, probes=3)
-    assert len(filled) == 6
-    assert not any(map(np.shares_memory, filled[0], filled[1]))
-    for views in filled[2:]:
-        assert all(map(np.shares_memory, filled[1], views))
+        filled.clear()
+        estimate_traces(spec, [short, long], samples=3, probes=3)
+        assert len(filled) == groups
+        assert not any(map(np.shares_memory, filled[0], filled[groups // 2]))
+        for views in filled[groups // 2 + 1:]:
+            assert all(map(np.shares_memory, filled[groups // 2], views))
+
+
+WORDS = {"a2": ("e e' e e'", "e e' e e' e e' e e' e e' e e'"),
+         "a3": ("e1 e1' e2 e2'", LONG_WORDS[0], LONG_WORDS[3]),
+         "s4": ("e1 e1' e2 e2'", "e1 e1' e2 e2' e3 e3' e4 e4'",
+                "e1 e1' e2 e2' e1 e1' e3 e3' e4 e4'")}
+
+
+@pytest.mark.parametrize("graph", list(WORDS))
+def test_stacked_samples_equal_single_sample_groups(test_algebras, graph):
+    # a group runs one loop as one stack; each sample's value equals the
+    # sample run alone, in and past the regime where the queries fill a
+    # block (N = M = 2)
+    alg = test_algebras[graph]
+    for n in (2, 5, 40):
+        spec = BlockModelSpec(alg, n, n, seed=3)
+        for word in WORDS[graph]:
+            lp = loop_from_tokens(alg.g, word)
+            for probes in (1, 3, 8):
+                stack = SampledModel(spec, range(4)).loop_trace(lp, probes)
+                alone = [SampledModel(spec, i).loop_trace(lp, probes)[0]
+                         for i in range(4)]
+                np.testing.assert_allclose(stack, alone, rtol=1e-12, atol=0,
+                                           err_msg=f"{word} N={n} k={probes}")
+
+
+def test_ragged_ranks_rerun_and_equal_single_samples(a3, monkeypatch):
+    # a sample whose probes repeat a column fails its Cholesky test, so its
+    # group parts ways, and keeps one or two directions fewer, so the part
+    # that failed parts again by rank; each part runs again as a stack, and
+    # each value still equals the sample alone
+    probe_matrix = SampledModel.probe_matrix
+
+    def repeating(self, dim, probes, rng):
+        z = probe_matrix(self, dim, probes, rng)
+        for j in (1, 2):                # each in a quarter of the streams
+            if z[0, 0] == z[0, j]:
+                z[:, j] = z[:, 0]
+        return z
+    monkeypatch.setattr(SampledModel, "probe_matrix", repeating)
+    stacks = Counter()
+    stack = SampledModel._stack
+
+    def counted(self, lp, probes, samples):
+        stacks[len(samples)] += 1
+        return stack(self, lp, probes, samples)
+    monkeypatch.setattr(SampledModel, "_stack", counted)
+    spec = BlockModelSpec(a3, 10, 10, seed=2)
+    lp = loop_from_tokens(a3.g, LONG_WORDS[1])
+    values = SampledModel(spec, range(16)).loop_trace(lp, 3)
+    assert stacks[16] == 1 and sum(stacks.values()) >= 5
+    alone = [SampledModel(spec, i).loop_trace(lp, 3)[0] for i in range(16)]
+    np.testing.assert_allclose(values, alone, rtol=1e-12, atol=0)
+
+
+def test_groups_leave_the_thread_count_out(a3, monkeypatch):
+    # ten samples in groups of three (the word's bound is 289 values): one
+    # and two workers split the groups differently and give the same bits
+    monkeypatch.setattr(randmat, "_BUDGET", 3 * 289)
+    spec = BlockModelSpec(a3, 6, 6, seed=4)
+    loops = [loop_from_tokens(a3.g, w) for w in ("e1 e1' e2 e2'", "e1 e1'")]
+    assert [len(g) for g in sample_groups(a3.g, loops[0], 10, 3)] == [3, 3, 3, 1]
+    one = estimate_traces(spec, loops, samples=10, probes=3, threads=1)
+    two = estimate_traces(spec, loops, samples=10, probes=3, threads=2)
+    for a, b in zip(one, two):
+        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
+def test_budget_sizes_the_benchmark_groups(a2, a3):
+    # the mc-sweep words run their ten samples as one group; mc-long's
+    # longest word holds at most two samples a group
+    for alg, words in ((a2, ("e e'", "e e' e e'")),
+                       (a3, ("e1 e1'", "e1 e1' e2 e2'"))):
+        for word in words:
+            lp = loop_from_tokens(alg.g, word)
+            assert sample_groups(alg.g, lp, 10, 3) == [range(10)]
+    lp = loop_from_tokens(a3.g, LONG_WORDS[-1])
+    groups = sample_groups(a3.g, lp, 10, 32)
+    assert max(map(len, groups)) <= 2
+    assert [i for g in groups for i in g] == list(range(10))
+    assert sample_groups(a3.g, lp, 10, 10_000) == [range(i, i + 1)
+                                                   for i in range(10)]
+
+
+@pytest.mark.parametrize("dim, probes, rows", [(7, 3, 2), (100, 5, 33),
+                                               (2280, 32, 1000), (13, 1, 4)])
+def test_chunked_probe_draws_continue_the_stream(dim, probes, rows):
+    # the probes are drawn in row chunks: the chunks are the one-shot draw,
+    # and the stream goes on from the same state
+    rng = np.random.default_rng(11)
+    whole, after = rng.integers(0, 4, size=(dim, probes)), rng.random()
+    rng = np.random.default_rng(11)
+    parts = [rng.integers(0, 4, size=(min(rows, dim - i), probes))
+             for i in range(0, dim, rows)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert rng.random() == after
+
+
+@pytest.mark.parametrize("probes", [1, 2, 3])
+def test_probe_chunks_leave_the_values(a3, monkeypatch, probes):
+    # a small budget draws the 35 probe rows in chunks of 2 to 6 rows; each
+    # sample's value moves only by the rounding of the Gram's sum
+    spec = BlockModelSpec(a3, 5, 5, seed=2)
+    lp = loop_from_tokens(a3.g, LONG_WORDS[0])
+    want = [SampledModel(spec, i).loop_trace(lp, probes)[0] for i in range(3)]
+    monkeypatch.setattr(randmat, "_BUDGET", 100)
+    got = [SampledModel(spec, i).loop_trace(lp, probes)[0] for i in range(3)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_probe_draw_holds_no_block_side_array(a3):
+    # at N = M = 300 the base space has 127,200 axes; a one-shot draw of 32
+    # probes would hold 31 MiB of integers and 62 MiB of phases
+    import tracemalloc
+    spec = BlockModelSpec(a3, 300, 300, seed=1)
+    lp = loop_from_tokens(a3.g, "e1 e1' e2 e2'")
+    tracemalloc.start()
+    try:
+        SampledModel(spec, 0).loop_trace(lp, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
