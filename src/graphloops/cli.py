@@ -85,9 +85,10 @@ def cmd_moments(alg, args, report) -> bool:
     v0 = alg.g.vertices_of_parity(EVEN)[0]
     loop_vals = cup_moments(alg, v0, args.n)
     fock_vals = []
-    if args.fock_n > 0:
-        space = FockSpace(alg, args.fock_n)
-        fock_vals = space.vacuum_moments(space.cup_operator(), v0, args.fock_n)
+    fock_n = min(args.fock_n, args.n)     # only n <= --n is reported
+    if fock_n > 0:
+        space = FockSpace(alg, fock_n)
+        fock_vals = space.vacuum_moments(space.cup_operator(), v0, fock_n)
 
     for n in range(args.n + 1):
         report.add(f"m[{n}] recursion", rec[n])

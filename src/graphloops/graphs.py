@@ -35,7 +35,8 @@ class BipartiteGraph:
     edge_names: tuple[str, ...]             # base edge names
     edge_source: tuple[int, ...]            # even endpoint of each base edge
     edge_target: tuple[int, ...]            # odd endpoint of each base edge
-    _vertex_index: dict[str, int] = field(repr=False, default_factory=dict)
+    _vertex_index: dict[str, int] = field(init=False, repr=False,
+                                          compare=False)
     # per oriented edge: source and target; per vertex: edges out and in
     _src: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tgt: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -54,6 +55,8 @@ class BipartiteGraph:
         for e, (u, v) in enumerate(zip(src, tgt)):
             out[u].append(e)
             into[v].append(e)
+        object.__setattr__(self, "_vertex_index",
+                           {n: i for i, n in enumerate(self.vertex_names)})
         object.__setattr__(self, "_src", tuple(src))
         object.__setattr__(self, "_tgt", tuple(tgt))
         object.__setattr__(self, "_out", tuple(map(tuple, out)))
@@ -100,7 +103,7 @@ class BipartiteGraph:
             etgt.append(vi)
 
         g = BipartiteGraph(tuple(names), tuple(pars), tuple(enames),
-                           tuple(esrc), tuple(etgt), vindex)
+                           tuple(esrc), tuple(etgt))
         if not g._connected():
             raise GraphError("graph is not connected")
         return g

@@ -1,4 +1,5 @@
-"""Non-crossing pairings and free-Poisson moment computations."""
+"""Non-crossing pairings, free-Poisson moments and the Temperley-Lieb
+free-generator degrees, each expectation from its closed form."""
 
 from __future__ import annotations
 
@@ -57,63 +58,16 @@ def is_noncrossing(pairs) -> bool:
     return True
 
 
-def _series_inverse(coeffs: list[float]) -> list[float]:
-    """Power-series inverse 1/f for f with f(0) = 1, same truncation."""
-    n = len(coeffs)
-    inv = [0.0] * n
-    inv[0] = 1.0 / coeffs[0]
-    for m in range(1, n):
-        s = sum(coeffs[j] * inv[m - j] for j in range(1, m + 1))
-        inv[m] = -s / coeffs[0]
-    return inv
-
-
-def _sqrt_series(coeffs: list[float]) -> list[float]:
-    """Power-series square root with s(0) = +1, via s*s = f recurrence."""
-    n = len(coeffs)
-    s = [0.0] * n
-    s[0] = 1.0
-    for m in range(1, n):
-        acc = sum(s[j] * s[m - j] for j in range(1, m))
-        s[m] = (coeffs[m] - acc) / (2.0 * s[0])
-    return s
-
-
-def _mul_series(a: list[float], b: list[float], n: int) -> list[float]:
-    out = [0.0] * n
-    for i, ai in enumerate(a[:n]):
-        if ai == 0.0:
-            continue
-        for j, bj in enumerate(b[: n - i]):
-            out[i + j] += ai * bj
-    return out
-
-
 def moment_generating_series(delta: float, nmax: int) -> list[float]:
-    """Taylor coefficients of the one-cup moment generating function.
-
-    Phi(z) = (1 - (delta-1) z) / (2z) * (1 - sqrt(1 - 4z / (1-(delta-1)z)^2)),
-    branch fixed by Phi(0) = 1.  Coefficients are extracted by series
-    recurrences (geometric series, square-root recurrence), no numerical
-    differentiation.
-    """
-    n = nmax + 2                      # room for the division by z
-    c = delta - 1.0
-    # g = 1/(1 - c z) as a series, so 1/(1-cz)^2 = g*g
-    g = [c ** i for i in range(n)]
-    g2 = _mul_series(g, g, n)
-    under = [0.0] * n                 # 1 - 4 z g^2
-    under[0] = 1.0
-    for i in range(1, n):
-        under[i] = -4.0 * g2[i - 1]
-    s = _sqrt_series(under)
-    one_minus_s = [-x for x in s]
-    one_minus_s[0] += 1.0             # starts at order z
-    shifted = one_minus_s[1:] + [0.0]  # divide by z
-    lin = [1.0, -c] + [0.0] * (n - 2)  # (1 - (delta-1) z)
-    phi = _mul_series(lin, shifted, n)
-    phi = [x / 2.0 for x in phi]
-    return phi[: nmax + 1]
+    """Taylor coefficients of the one-cup moment generating function Phi =
+    1 + z (delta-1) Phi + z Phi^2: the Narayana polynomials, by their
+    three-term recurrence (n+1) m_n = (2n-1)(delta+1) m_{n-1}
+    - (n-2)(delta-1)^2 m_{n-2} from m_0 = 1, m_1 = delta."""
+    m = [1.0, float(delta)][: nmax + 1]
+    for n in range(2, nmax + 1):
+        m.append(((2 * n - 1) * (delta + 1.0) * m[n - 1]
+                  - (n - 2) * (delta - 1.0) ** 2 * m[n - 2]) / (n + 1))
+    return m
 
 
 def free_poisson_moments(delta: float, nmax: int,
@@ -122,7 +76,7 @@ def free_poisson_moments(delta: float, nmax: int,
     delta/(1-z), by one of three independent routes.
 
     recursion:    m_n = (delta-1) m_{n-1} + sum_{k<n} m_k m_{n-1-k}
-    closed_form:  Taylor coefficients of the generating function
+    closed_form:  the three-term recurrence (`moment_generating_series`)
     narayana:     m_n = sum_k Narayana(n,k) delta^k
     """
     if not delta >= 1.0:                # a NaN delta fails this too
@@ -148,13 +102,8 @@ def free_poisson_moments(delta: float, nmax: int,
 
 
 def indecomposable_dimension_series(nmax: int) -> list[int]:
-    """Coefficients 1..nmax of 1 - 1/Phi_TL with Phi_TL(z) = sum Catalan(n) z^n.
-
-    This is the generating function of the degrees of free generators of the
-    Temperley-Lieb graded algebra (1, 1, 2, 5, ... for n = 1..4).
-    """
-    cat = [float(catalan(n)) for n in range(nmax + 1)]
-    inv = _series_inverse(cat)
-    out = [-x for x in inv]
-    out[0] += 1.0
-    return [round(x) for x in out[1: nmax + 1]]
+    """Coefficients 1..nmax of 1 - 1/Phi_TL with Phi_TL(z) = sum Catalan(n) z^n,
+    the degrees of free generators of the Temperley-Lieb graded algebra.
+    Phi_TL = 1 + z Phi_TL^2 makes 1 - 1/Phi_TL = z Phi_TL, so the n-th is
+    Catalan(n-1): 1, 1, 2, 5, ... for n = 1..4."""
+    return [catalan(n - 1) for n in range(1, nmax + 1)]

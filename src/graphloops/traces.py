@@ -297,15 +297,6 @@ def _tl_gram(alg: LoopAlgebra, elems: list[Element]) -> np.ndarray:
     return gram / alg._mu[even].sum()
 
 
-def _numerical_rank(gram: np.ndarray) -> int:
-    """Singular values above the rounding floor max(rows, cols) eps
-    sigma_max (numpy's matrix_rank)."""
-    if gram.size == 0:
-        return 0
-    sv = np.linalg.svd(gram, compute_uv=False)
-    return int(np.sum(sv > max(gram.shape) * np.finfo(float).eps * sv[0]))
-
-
 def free_structure_report(alg: LoopAlgebra, nmax: int = 4) -> dict:
     """Dimensions of the new-generator spaces of the Temperley-Lieb graded
     algebra, versus the series coefficients of 1 - 1/Phi_TL.
@@ -313,26 +304,27 @@ def free_structure_report(alg: LoopAlgebra, nmax: int = 4) -> dict:
     For each degree n: the rank of the diagrams' Gram `_tl_gram` (should be
     Catalan(n) for delta >= 2), the rank of its block on the products of
     lower-degree diagrams, and their difference, compared against the
-    expected coefficient.  Ranks follow `_numerical_rank`.
-    A MemoryError comes before any element is built if a degree's Gram
-    could read more than GRAM_CAP phi rows (closed walks bound the loops).
+    expected coefficient Catalan(n-1).  The products are the diagrams in
+    which point 1 does not pair with 2n; ranks are numpy's `matrix_rank`.
+    A MemoryError comes before any element is built if the top degree's
+    Gram could read more than GRAM_CAP phi rows (closed walks bound the
+    loops, and no degree has more than the top one).
     """
     if alg.pf.delta < 2.0 - 1e-9:
         raise ValueError("free-structure report requires delta >= 2")
     a, even = alg.g.adjacency(), alg.g.vertices_of_parity(EVEN)
-    for n in range(1, nmax + 1):
-        walks = np.linalg.matrix_power(a, 2 * n).diagonal()[even]
-        if np.square(walks).sum() > GRAM_CAP:
-            raise MemoryError("freedim Gram exceeds cap")
+    walks = np.linalg.matrix_power(a, 2 * nmax).diagonal()[even]
+    if np.square(walks).sum() > GRAM_CAP:
+        raise MemoryError("freedim Gram exceeds cap")
     expected = indecomposable_dimension_series(nmax)
     rows = []
     ok_all = True
     for n in range(1, nmax + 1):
         pairings = list(noncrossing_pairings(2 * n))
-        decomposable = [i for i, p in enumerate(pairings) if _splits(p, n)]
+        products = [i for i, p in enumerate(pairings) if (1, 2 * n) not in p]
         gram = _tl_gram(alg, [alg.tl_element(p) for p in pairings])
-        full_rank = _numerical_rank(gram)
-        sub_rank = _numerical_rank(gram[np.ix_(decomposable, decomposable)])
+        full_rank = int(np.linalg.matrix_rank(gram))
+        sub_rank = int(np.linalg.matrix_rank(gram[np.ix_(products, products)]))
         dim_new = full_rank - sub_rank
         ok = (full_rank == catalan(n)) and (dim_new == expected[n - 1])
         ok_all = ok_all and ok
@@ -342,14 +334,3 @@ def free_structure_report(alg: LoopAlgebra, nmax: int = 4) -> dict:
             "expected": expected[n - 1], "pass": ok,
         })
     return {"rows": rows, "pass": ok_all}
-
-
-def _splits(pairing, n: int) -> bool:
-    """True if the pairing is a juxtaposition of two non-empty diagrams."""
-    ends = {max(p) for p in pairing}
-    depth = 0
-    for pos in range(1, 2 * n):
-        depth += -1 if pos in ends else 1
-        if depth == 0:
-            return True
-    return False

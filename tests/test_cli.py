@@ -154,6 +154,18 @@ def test_moments_past_its_pair_row_cap_is_usage_error(capsys, monkeypatch):
     assert "moments pair rows exceed cap" in captured.err
 
 
+def test_moments_walks_the_fock_column_only_as_far_as_it_reports(capsys):
+    # --fock-n 20 on s4 would pass the path-basis cap for powers past --n
+    code, out = run_cli(capsys, "moments", "--graph", "s4", "--n", "3",
+                        "--fock-n", "20")
+    assert code == 0
+    same = run_cli(capsys, "moments", "--graph", "s4", "--n", "3",
+                   "--fock-n", "3")[1]
+    doc = json.loads(out)
+    assert doc["parameters"]["fock_n"] == 20
+    assert doc["rows"] == json.loads(same)["rows"]
+
+
 def _cli_subprocess(*argv):
     return subprocess.run([sys.executable, "-m", "graphloops.cli", *argv],
                           capture_output=True, text=True)

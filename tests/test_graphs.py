@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -150,3 +151,21 @@ def test_edge_tables_match_their_definitions(name):
                                         if g.src(e) == v)
         assert g._in[v] == tuple(e for e in g.oriented_edges
                                         if g.tgt(e) == v)
+
+
+@pytest.mark.parametrize("name", ["a3", "s4"])
+def test_graph_from_its_fields_equals_its_built_twin(name):
+    # the name index is derived, not a field: a graph made from its five
+    # public fields, or by dataclasses.replace, resolves every name
+    g = builtin_graph(name)
+    direct = BipartiteGraph(g.vertex_names, g.parity, g.edge_names,
+                            g.edge_source, g.edge_target)
+    renamed = tuple(n + "!" for n in g.vertex_names)
+    replaced = dataclasses.replace(g, vertex_names=renamed)
+    assert direct == g and hash(direct) == hash(g)
+    assert replaced != g and isinstance(hash(replaced), int)
+    for v, n in enumerate(g.vertex_names):
+        assert direct.vertex(n) == v
+        assert replaced.vertex(renamed[v]) == v
+        with pytest.raises(GraphError):
+            replaced.vertex(n)

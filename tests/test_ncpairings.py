@@ -67,14 +67,23 @@ def test_sqrt2_second_moment():
     assert m[2] == pytest.approx(2 + math.sqrt(2), rel=1e-12)
 
 
-@pytest.mark.parametrize("delta", [1.0, math.sqrt(2), GOLDEN, 2.0, 3.0])
+@pytest.mark.parametrize("delta", [1.0, math.sqrt(2), GOLDEN, 2.0, 3.0,
+                                   2 * math.cos(math.pi / 201)])
 def test_three_methods_agree(delta):
-    rec = free_poisson_moments(delta, 12, "recursion")
-    clo = free_poisson_moments(delta, 12, "closed_form")
-    nar = free_poisson_moments(delta, 12, "narayana")
+    rec = free_poisson_moments(delta, 30, "recursion")
+    clo = free_poisson_moments(delta, 30, "closed_form")
+    nar = free_poisson_moments(delta, 30, "narayana")
     for a, b, c in zip(rec, clo, nar):
-        assert b == pytest.approx(a, rel=1e-9)
-        assert c == pytest.approx(a, rel=1e-9)
+        assert b == pytest.approx(a, rel=1e-12)
+        assert c == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_closed_form_is_exact_at_integer_delta(delta):
+    # every Narayana polynomial value up to n = 12 is an integer below 2^53
+    exact = [1] + [sum(narayana(n, k) * delta ** k for k in range(1, n + 1))
+                   for n in range(1, 13)]
+    assert free_poisson_moments(delta, 12, "closed_form") == exact
 
 
 def test_delta_below_one_rejected():
@@ -108,3 +117,19 @@ def test_series_matches_recursion_high_order():
 def test_indecomposable_series():
     assert indecomposable_dimension_series(4) == [1, 1, 2, 5]
     assert indecomposable_dimension_series(6) == [1, 1, 2, 5, 14, 42]
+    assert indecomposable_dimension_series(12) == [catalan(n) for n in range(12)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decomposable_pairings_leave_1_and_2n_apart(n):
+    # a pairing is a product of two non-empty diagrams iff a proper prefix
+    # {1..q} is closed under it, iff point 1 is not paired with 2n
+    def closed_prefix(p):
+        return any(all((i <= q) == (j <= q) for i, j in p)
+                   for q in range(2, 2 * n, 2))
+
+    split = [p for p in noncrossing_pairings(2 * n) if (1, 2 * n) not in p]
+    assert len(split) == catalan(n) - catalan(n - 1)
+    assert all(closed_prefix(p) for p in split)
+    assert not any(closed_prefix(p) for p in noncrossing_pairings(2 * n)
+                   if (1, 2 * n) in p)
